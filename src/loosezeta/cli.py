@@ -38,15 +38,24 @@ class UsageError(Exception):
 
 
 def _read_graph(path: str, strict: bool) -> LooseGraph:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    name = "stdin" if path == "-" else path
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read {path}: {exc}") from exc
+    except OSError as exc:
+        raise UsageError(f"cannot read {name}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read {name}: not UTF-8 text (byte {exc.start})") from exc
     return parse(text, strict=strict)
+
+
+def _check_budget(budget: int) -> int:
+    if budget < 0:
+        raise UsageError(f"--budget {budget} is negative")
+    return budget
 
 
 def _parse_primes(spec: str) -> list[int]:
@@ -221,9 +230,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "ihara":
             return _cmd_ihara(g, args.json)
         if args.command == "count":
-            return _cmd_count(g, args.q, args.budget, args.json)
+            return _cmd_count(g, args.q, _check_budget(args.budget), args.json)
         if args.command == "verify":
-            return _cmd_verify(g, _parse_primes(args.primes), args.budget, args.json)
+            primes = _parse_primes(args.primes)
+            return _cmd_verify(g, primes, _check_budget(args.budget), args.json)
         if args.command == "trace":
             return _cmd_trace(g, args.json)
         if args.command == "compare":

@@ -6,47 +6,43 @@ power q.  Closed points sit at the vertices; each vertex of degree d
 carries a local affine space of dimension d whose directions are the
 incident edges (loose edges point at phantom directions).
 
-The engine follows the surgery recursion: split into components, apply
-the loose-tree formula, strip loose/free edges against an explicit
-correction, peel a vertex adjacent to everything, and otherwise resolve
-a fundamental edge while subtracting the resolution difference of the
-edge's neighborhood.
+The engine is one surgery loop over mutable adjacency sets: split into
+components, apply the loose-tree formula, strip loose/free edges against
+an explicit correction, peel a vertex adjacent to everything, and
+otherwise resolve the fundamental edges of a spanning tree one by one,
+subtracting each edge's resolution difference.  A step reads only the
+two unit balls of its edge, so it costs as much as that neighborhood.
 
 The neighborhood pieces are evaluated by inclusion-exclusion over the
 local affine charts (equivalently, over cliques of real vertices): for a
 clique S with c(S) common chart directions the intersection of charts
 contributes (L-1)^(|S|-1) * L^c(S).  This evaluates each piece *as
 embedded*, which matters when two of its loose edges point at the same
-outside vertex, and it terminates without recursion.
+outside vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import AbstractSet, Mapping
+from typing import AbstractSet, Mapping, Sequence
 
 from .loosegraph import (
     LooseGraph,
     LooseGraphError,
     NeighborhoodData,
-    connected_components,
-    delete_vertex,
+    _adjacency_sets,
+    _bfs_tree,
+    _components,
+    _edge_charts,
+    _norm_edge,
     induced,
     is_connected,
-    is_loose_tree,
-    neighborhood,
     reduce,
     resolve,
     spanning_tree,
-    tree_profile,
 )
 from .polyring import L, Poly
-
-
-class InternalError(RuntimeError):
-    """The recursion failed to shrink its input (implementation bug)."""
-
 
 # ---------------------------------------------------------------------------
 # Closed forms
@@ -69,14 +65,23 @@ def tree_class(t: LooseGraph) -> Poly:
         raise LooseGraphError("tree_class(): input disconnected")
     if t.n_edges != t.n_vertices - 1:
         raise LooseGraphError("tree_class(): input has a cycle")
-    if t.n_vertices == 1 and not t.loose:
+    adj = t.adjacency()
+    lm = t.loose_map()
+    return _tree_form([len(adj[v]) + lm.get(v, 0) for v in t.vertices])
+
+
+def _tree_form(degrees: list[int]) -> Poly:
+    """tree_class() from the full degrees of a loose tree's vertices."""
+    if degrees == [0]:
         return Poly.one()
-    profile = tree_profile(t)
-    inner = profile.inner_minus_one
-    result = Poly.const(inner + profile.endpoints) - inner * L
-    for d, n in profile.degree_counts:
-        result = result + n * L**d
-    return result
+    inner = [d for d in degrees if d > 1]
+    i = len(inner) - 1
+    coeffs = [0] * (max(degrees) + 2)
+    coeffs[0] = i + degrees.count(1)
+    coeffs[1] = -i
+    for d in inner:
+        coeffs[d] += 1
+    return Poly(coeffs)
 
 
 def star_class(n: int, k: int) -> Poly:
@@ -169,21 +174,26 @@ def _cone_charts(
     return out
 
 
+def _piece_classes(
+    components: Sequence[Sequence[str]],
+    gl: Mapping[str, frozenset[str]],
+    glx: Mapping[str, frozenset[str]],
+    gly: Mapping[str, frozenset[str]],
+) -> list[tuple[Poly, Poly, Poly]]:
+    return [
+        (
+            chart_class({v: gl[v] for v in comp}),
+            chart_class({v: glx[v] for v in comp}),
+            chart_class({v: gly[v] for v in comp}),
+        )
+        for comp in components
+    ]
+
+
 def component_piece_classes(nd: NeighborhoodData) -> list[tuple[Poly, Poly, Poly]]:
     """Embedded classes ([C^j], [C^j_x], [C^j_y]) per component of gl."""
-    gl = dict(nd.charts_gl)
-    glx = dict(nd.charts_glx)
-    gly = dict(nd.charts_gly)
-    out = []
-    for comp in nd.components:
-        out.append(
-            (
-                chart_class({v: gl[v] for v in comp}),
-                chart_class({v: glx[v] for v in comp}),
-                chart_class({v: gly[v] for v in comp}),
-            )
-        )
-    return out
+    charts = (dict(nd.charts_gl), dict(nd.charts_glx), dict(nd.charts_gly))
+    return _piece_classes(nd.components, *charts)
 
 
 # ---------------------------------------------------------------------------
@@ -191,21 +201,12 @@ def component_piece_classes(nd: NeighborhoodData) -> list[tuple[Poly, Poly, Poly
 # ---------------------------------------------------------------------------
 
 
-def resolution_difference(g: LooseGraph, edge: tuple[str, str]) -> Poly:
-    """class(resolve(g, edge)) - class(g), from the edge neighborhood only.
-
-    Evaluated as L^2*[gl] - (L-1)*[glx] - (L-1)*[gly] - [C(gl,xy)]
-    + [C(glx,xy)] - [C(glx,y)] + [C(gly,xy)] - [C(gly,x)], with the first
-    three classes summed over the connected components of gl and every
-    bracket taken as an embedded chart class.
-    """
-    nd = neighborhood(g, edge)
-    x, y = nd.x, nd.y
-    gl = dict(nd.charts_gl)
-    glx = dict(nd.charts_glx)
-    gly = dict(nd.charts_gly)
+def _difference(adj: Mapping[str, AbstractSet[str]], x: str, y: str) -> Poly:
+    """The resolution difference of the edge xy of the reduced graph held
+    in ``adj``; reads the two unit balls of the edge only."""
+    components, gl, glx, gly = _edge_charts(adj, x, y)
     cls_gl = cls_glx = cls_gly = Poly.zero()
-    for cj, cjx, cjy in component_piece_classes(nd):
+    for cj, cjx, cjy in _piece_classes(components, gl, glx, gly):
         cls_gl = cls_gl + cj
         cls_glx = cls_glx + cjx
         cls_gly = cls_gly + cjy
@@ -224,6 +225,30 @@ def resolution_difference(g: LooseGraph, edge: tuple[str, str]) -> Poly:
         + c_gly_xy
         - c_gly_x
     )
+
+
+def _resolve_step(adj: dict[str, set[str]], x: str, y: str) -> Poly:
+    """Delete the edge xy from ``adj``; return its resolution difference."""
+    delta = _difference(adj, x, y)
+    adj[x].discard(y)
+    adj[y].discard(x)
+    return delta
+
+
+def resolution_difference(g: LooseGraph, edge: tuple[str, str]) -> Poly:
+    """class(resolve(g, edge)) - class(g), from the edge neighborhood only.
+
+    Evaluated as L^2*[gl] - (L-1)*[glx] - (L-1)*[gly] - [C(gl,xy)]
+    + [C(glx,xy)] - [C(glx,y)] + [C(gly,xy)] - [C(gly,x)], with the first
+    three classes summed over the connected components of gl and every
+    bracket taken as an embedded chart class.
+    """
+    if not g.is_reduced():
+        raise LooseGraphError("resolution_difference(): graph must be reduced first")
+    x, y = edge
+    if _norm_edge(x, y) not in g.edge_set():
+        raise LooseGraphError(f"resolution_difference(): {x!r}-{y!r} is not an edge")
+    return _difference(_adjacency_sets(g), x, y)
 
 
 def _restricted(g: LooseGraph, edge: tuple[str, str]) -> LooseGraph:
@@ -251,8 +276,9 @@ def local_after(g: LooseGraph, edge: tuple[str, str]) -> Poly:
 # The class polynomial
 # ---------------------------------------------------------------------------
 
-# shared across callers; inserts are idempotent (same key, same value), so
-# concurrent use under the GIL is safe
+# shared across callers and looked up once per call, on the input graph;
+# inserts are idempotent (same key, same value), so concurrent use under
+# the GIL is safe
 _memo: dict[tuple, Poly] = {}
 
 
@@ -275,10 +301,6 @@ def canonical_key(g: LooseGraph) -> tuple:
     return (g.n_vertices, edges, loose, g.free)
 
 
-def _measure(g: LooseGraph) -> tuple[int, int, int]:
-    return (g.n_vertices, g.n_edges, g.n_loose + g.free)
-
-
 def class_polynomial(g: LooseGraph) -> Poly:
     """Counting polynomial of the scheme attached to a loose graph.
 
@@ -288,42 +310,49 @@ def class_polynomial(g: LooseGraph) -> Poly:
     if g.is_empty():
         return Poly.zero()
     key = canonical_key(g)
-    cached = _memo.get(key)
-    if cached is not None:
-        return cached
-
-    def recurse(child: LooseGraph, parent: LooseGraph) -> Poly:
-        if _measure(child) >= _measure(parent):
-            raise InternalError("class_polynomial(): recursion did not shrink the graph")
-        return class_polynomial(child)
-
-    comps = connected_components(g)
-    if len(comps) > 1:
-        result = Poly.zero()
-        for c in comps:
-            result = result + recurse(c, g)
-    else:
-        c = comps[0]
-        if not c.vertices:
-            result = L - 1  # a single free edge is a multiplicative group
-        elif is_loose_tree(c):
-            result = tree_class(c)
-        elif not c.is_reduced():
-            reduced_graph, correction = reduce(c)
-            result = recurse(reduced_graph, c) + correction
-        else:
-            apex = next(
-                (v for v in sorted(c.vertices) if c.graph_degree(v) == c.n_vertices - 1),
-                None,
-            )
-            if apex is not None:
-                result = L ** c.graph_degree(apex) + recurse(delete_vertex(c, apex), c)
-            else:
-                _, fundamental = spanning_tree(c)
-                e = fundamental[0]
-                result = recurse(resolve(c, e), c) - resolution_difference(c, e)
-    _memo[key] = result
+    result = _memo.get(key)
+    if result is None:
+        result = _memo[key] = _surgery_class(g)
     return result
+
+
+def _surgery_class(g: LooseGraph) -> Poly:
+    """The surgery loop: the class is a sum of closed forms, reduction
+    corrections and apex terms over the pieces, minus the resolution
+    difference of every resolved edge."""
+    adj = _adjacency_sets(g)
+    loose = g.loose_map()
+    total = g.free * (L - 1)  # each free edge is a multiplicative group
+    work = _components(adj, g.vertices)
+    while work:
+        piece = work.pop()
+        n = len(piece)
+        if sum(len(adj[v]) for v in piece) == 2 * (n - 1):
+            total = total + _tree_form([len(adj[v]) + loose.get(v, 0) for v in piece])
+            continue
+        for v in piece:
+            k = loose.pop(v, 0)
+            if k:
+                d = len(adj[v]) + k
+                total = total + L**d - L ** (d - k)
+        apex = min((v for v in piece if len(adj[v]) == n - 1), default=None)
+        if apex is not None:
+            total = total + L ** (n - 1)
+            for u in adj.pop(apex):
+                adj[u].discard(apex)
+            work.extend(_components(adj, [v for v in piece if v != apex]))
+            continue
+        # Resolving a fundamental edge keeps the piece connected and only
+        # lowers degrees, so no apex appears before the piece is a tree.
+        # Stripping the two loose edges a step leaves costs L^d - L^(d-1)
+        # at each end.
+        _, fundamental = _bfs_tree(adj, piece)
+        for x, y in fundamental:
+            dx, dy = len(adj[x]), len(adj[y])
+            delta = _resolve_step(adj, x, y)
+            total = total + L**dx - L ** (dx - 1) + L**dy - L ** (dy - 1) - delta
+        total = total + _tree_form([len(adj[v]) for v in piece])
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -359,17 +388,16 @@ class SurgeryTrace:
 
 
 def surgery_trace(g: LooseGraph, rng: Random | None = None) -> SurgeryTrace:
-    """Resolve fundamental edges down to a loose spanning tree, recording
-    each difference; reported in unresolve order like a worked table."""
-    if g.is_empty() or not is_connected(g):
+    """Resolve the fundamental edges of one spanning tree, recording each
+    difference; reported in unresolve order like a worked table."""
+    if not g.vertices or not is_connected(g):
         raise LooseGraphError("surgery_trace(): connected input required")
+    _, fundamental = spanning_tree(g, rng)
+    adj = _adjacency_sets(g)
     downward: list[tuple[LooseGraph, tuple[str, str], Poly]] = []
     h = g
-    while not is_loose_tree(h):
-        reduced_graph, _ = reduce(h)
-        _, fundamental = spanning_tree(h, rng)
-        e = fundamental[0]
-        downward.append((h, e, resolution_difference(reduced_graph, e)))
+    for e in fundamental:
+        downward.append((h, e, _resolve_step(adj, *e)))
         h = resolve(h, e)
     tree_value = tree_class(h)
     steps: list[SurgeryStep] = []

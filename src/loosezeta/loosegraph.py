@@ -12,7 +12,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .polyring import L, Poly
 
@@ -380,31 +380,43 @@ def resolve(g: LooseGraph, edge: tuple[str, str]) -> LooseGraph:
     return LooseGraph.build(g.vertices, [f for f in g.edges if f != e], lm, g.free)
 
 
-def connected_components(g: LooseGraph) -> list[LooseGraph]:
-    """Partition into connected pieces; each free edge is its own component."""
-    adj = g.adjacency()
+def _components(adj: Mapping[str, Iterable[str]], vertices: Iterable[str]) -> list[list[str]]:
+    """Vertex lists of the connected pieces of ``vertices``, in the order
+    their first vertex appears; ``adj`` must reach no other vertex."""
     seen: set[str] = set()
-    comps: list[LooseGraph] = []
-    for v in g.vertices:
+    parts: list[list[str]] = []
+    for v in vertices:
         if v in seen:
             continue
-        queue = deque([v])
         seen.add(v)
-        part = []
-        while queue:
-            w = queue.popleft()
-            part.append(w)
+        part = [v]
+        for w in part:  # grows while it is walked
             for u in adj[w]:
                 if u not in seen:
                     seen.add(u)
-                    queue.append(u)
-        comps.append(induced(g, part))
+                    part.append(u)
+        parts.append(part)
+    return parts
+
+
+def _adjacency_sets(g: LooseGraph) -> dict[str, set[str]]:
+    """Mutable neighbor sets, the working state of the surgery loop."""
+    adj: dict[str, set[str]] = {v: set() for v in g.vertices}
+    for a, b in g.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
+
+
+def connected_components(g: LooseGraph) -> list[LooseGraph]:
+    """Partition into connected pieces; each free edge is its own component."""
+    comps = [induced(g, part) for part in _components(g.adjacency(), g.vertices)]
     comps.extend(LooseGraph.build((), (), (), 1) for _ in range(g.free))
     return comps
 
 
 def is_connected(g: LooseGraph) -> bool:
-    return len(connected_components(g)) == 1
+    return len(_components(g.adjacency(), g.vertices)) + g.free == 1
 
 
 def is_loose_tree(g: LooseGraph) -> bool:
@@ -439,6 +451,36 @@ def tree_profile(t: LooseGraph) -> TreeProfile:
     return TreeProfile(tuple(sorted(counts.items())), inner - 1, endpoints)
 
 
+def _bfs_tree(
+    adj: Mapping[str, Iterable[str]], vertices: Sequence[str], rng: Random | None = None
+) -> tuple[set[tuple[str, str]], list[tuple[str, str]]]:
+    """Tree edges and fundamental edges of a BFS tree of a connected piece.
+
+    Deterministic by default: root the smallest label, visit neighbors in
+    label order, sort the fundamental edges.  An rng picks the root from
+    ``vertices`` and shuffles each visit order and the fundamental edges.
+    """
+    root = min(vertices) if rng is None else rng.choice(vertices)
+    tree_edges: set[tuple[str, str]] = set()
+    seen = {root}
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        nbrs = sorted(adj[v])
+        if rng is not None:
+            rng.shuffle(nbrs)
+        for u in nbrs:
+            if u not in seen:
+                seen.add(u)
+                tree_edges.add(_norm_edge(v, u))
+                queue.append(u)
+    edges = ((v, u) for v in vertices for u in adj[v] if v < u)
+    fundamental = sorted(e for e in edges if e not in tree_edges)
+    if rng is not None:
+        rng.shuffle(fundamental)
+    return tree_edges, fundamental
+
+
 def spanning_tree(
     g: LooseGraph, rng: Random | None = None
 ) -> tuple[LooseGraph, tuple[tuple[str, str], ...]]:
@@ -452,28 +494,7 @@ def spanning_tree(
         raise LooseGraphError("spanning_tree(): empty input")
     if not is_connected(g):
         raise LooseGraphError("spanning_tree(): disconnected input")
-    adj = g.adjacency()
-    if rng is None:
-        root = min(g.vertices)
-    else:
-        root = rng.choice(g.vertices)
-    tree_edges: set[tuple[str, str]] = set()
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        nbrs = list(adj[v])
-        if rng is not None:
-            rng.shuffle(nbrs)
-        for u in nbrs:
-            if u not in seen:
-                seen.add(u)
-                tree_edges.add(_norm_edge(v, u))
-                queue.append(u)
-    fundamental = [e for e in g.edges if e not in tree_edges]
-    fundamental.sort()
-    if rng is not None:
-        rng.shuffle(fundamental)
+    tree_edges, fundamental = _bfs_tree(g.adjacency(), g.vertices, rng)
     tree = LooseGraph.build(g.vertices, sorted(tree_edges), g.loose_map(), g.free)
     return tree, tuple(fundamental)
 
@@ -548,6 +569,38 @@ def _cone_view(view: LooseGraph, tips: list[str]) -> LooseGraph:
     return LooseGraph.build(sorted(base_vertices + tips), edges, view.loose_map())
 
 
+_Charts = dict[str, frozenset[str]]
+
+
+def _edge_charts(
+    adj: Mapping[str, AbstractSet[str]], x: str, y: str
+) -> tuple[list[list[str]], _Charts, _Charts, _Charts]:
+    """Charts of the common neighbors of the edge xy, read from the two
+    unit balls only.
+
+    Returns ``(components, gl, glx, gly)``: each chart maps a common
+    neighbor to its neighbors in the punctured union of the balls, in the
+    x-ball minus y and in the y-ball minus x.  ``components`` splits the
+    sorted common neighbors into the sorted connected pieces of gl.
+    """
+    nx, ny = adj[x], adj[y]
+    ball_x = nx - {y}
+    ball_y = ny - {x}
+    ball = ball_x | ball_y
+    common = sorted(nx & ny)
+    gl: _Charts = {}
+    glx: _Charts = {}
+    gly: _Charts = {}
+    for v in common:
+        nv = adj[v]
+        gl[v] = frozenset(nv & ball)
+        glx[v] = frozenset(nv & ball_x)
+        gly[v] = frozenset(nv & ball_y)
+    cset = set(common)
+    parts = _components({v: gl[v] & cset for v in common}, common)
+    return [sorted(p) for p in parts], gl, glx, gly
+
+
 def neighborhood(g: LooseGraph, edge: tuple[str, str]) -> NeighborhoodData:
     """Extract the surgery neighborhood of a 2-vertex edge.
 
@@ -559,50 +612,17 @@ def neighborhood(g: LooseGraph, edge: tuple[str, str]) -> NeighborhoodData:
     x, y = edge
     if _norm_edge(x, y) not in g.edge_set():
         raise LooseGraphError(f"neighborhood(): {x!r}-{y!r} is not an edge")
-    nx = set(g.neighbors(x))
-    ny = set(g.neighbors(y))
-    common = sorted(nx & ny)
-    delta_vertices = (nx | ny) - {x, y}
-    delta = induced(g, delta_vertices)
-    gsub = induced(g, common)
-
-    charts_gl: dict[str, frozenset[str]] = {}
-    charts_glx: dict[str, frozenset[str]] = {}
-    charts_gly: dict[str, frozenset[str]] = {}
-    for v in common:
-        nv = set(g.neighbors(v))
-        charts_gl[v] = frozenset(nv & delta_vertices)
-        charts_glx[v] = frozenset(nv & (nx - {y}))
-        charts_gly[v] = frozenset(nv & (ny - {x}))
-
-    # components of gl = components of g on the common neighbors
-    comp_of: dict[str, int] = {}
-    comps: list[list[str]] = []
-    cset = set(common)
-    for v in common:
-        if v in comp_of:
-            continue
-        idx = len(comps)
-        stack = [v]
-        comp_of[v] = idx
-        part = []
-        while stack:
-            w = stack.pop()
-            part.append(w)
-            for u in charts_gl[w]:
-                if u in cset and u not in comp_of:
-                    comp_of[u] = idx
-                    stack.append(u)
-        comps.append(sorted(part))
-
+    adj = _adjacency_sets(g)
+    comps, charts_gl, charts_glx, charts_gly = _edge_charts(adj, x, y)
+    common = sorted(charts_gl)
     gl = _loose_view(common, charts_gl)
     glx = _loose_view(common, charts_glx)
     gly = _loose_view(common, charts_gly)
     return NeighborhoodData(
         x=x,
         y=y,
-        delta=delta,
-        g=gsub,
+        delta=induced(g, (adj[x] | adj[y]) - {x, y}),
+        g=induced(g, common),
         gl=gl,
         glx=glx,
         gly=gly,

@@ -7,8 +7,15 @@ from __future__ import annotations
 
 from random import Random
 
+from hypothesis import settings
+
 from loosezeta import LooseGraph, generate, parse
 from loosezeta.polyring import Poly
+
+# Property tests draw the same examples on every run, so the suite stays
+# deterministic.
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
 
 # ---------------------------------------------------------------------------
 # Corpus graphs

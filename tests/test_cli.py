@@ -190,3 +190,32 @@ def test_trace_text_and_json(capsys):
 def test_budget_flag(capsys):
     code, _, err = run(capsys, ["count", "--q", "5", "--budget", "3"], stdin=K4_STAR_LG)
     assert code == 1 and "budget" in err
+
+
+def test_non_utf8_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.lg"
+    path.write_bytes(b"vertex a\nedge a \xe9\n")
+    code, out, err = run(capsys, ["class", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "UTF-8" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_non_utf8_stdin_exits_2(capsys, monkeypatch):
+    raw = io.TextIOWrapper(io.BytesIO(b"vertex a\nedge a \xe9\n"), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", raw)
+    code = main(["class"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: cannot read stdin") and "UTF-8" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_negative_budget_exits_2(capsys):
+    for argv in (["count", "--q", "5", "--budget", "-1"], ["verify", "--budget", "-1"]):
+        code, out, err = run(capsys, argv, stdin=K4_STAR_LG)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and "--budget -1" in err, argv
+    # a budget of zero is valid and simply too small: a domain error
+    code, _, err = run(capsys, ["count", "--q", "5", "--budget", "0"], stdin=K4_STAR_LG)
+    assert code == 1 and "exceeds budget 0" in err

@@ -1,0 +1,87 @@
+"""Differential property tests of the surgery engine on small random loose
+graphs with loose and free edges, possibly disconnected.  The brute-force
+point count, the Euler count P(1) = #vertices, relabelling and random
+spanning trees are independent of the loop that computes the class."""
+
+from __future__ import annotations
+
+from random import Random
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from loosezeta import (
+    LooseGraph,
+    LooseGraphError,
+    class_polynomial,
+    count_points,
+    is_connected,
+    surgery_trace,
+)
+from loosezeta import grothendieck
+
+
+@st.composite
+def loose_graphs(draw, max_vertices: int = 6) -> LooseGraph:
+    n = draw(st.integers(0, max_vertices))
+    vs = [f"v{i}" for i in range(n)]
+    pairs = [(a, b) for i, a in enumerate(vs) for b in vs[i + 1 :]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    loose = draw(st.dictionaries(st.sampled_from(vs), st.integers(1, 2))) if vs else {}
+    free = draw(st.integers(0, 2))
+    return LooseGraph.build(vs, edges, loose, free)
+
+
+def engine_class(g: LooseGraph):
+    """class_polynomial with the memo emptied, so the loop itself runs."""
+    grothendieck._memo.clear()
+    return class_polynomial(g)
+
+
+@given(loose_graphs())
+def test_class_matches_point_counts(g):
+    p = engine_class(g)
+    assert p.evaluate(1) == g.n_vertices
+    assert p.evaluate(2) == count_points(g, 2)
+    assert p.evaluate(3) == count_points(g, 3)
+
+
+@given(loose_graphs(), st.randoms(use_true_random=False))
+def test_class_is_label_independent(g, rnd):
+    names = [f"w{i}" for i in range(g.n_vertices)]
+    rnd.shuffle(names)
+    new = dict(zip(g.vertices, names))
+    relabelled = LooseGraph.build(
+        [new[v] for v in reversed(g.vertices)],
+        [(new[a], new[b]) for a, b in g.edges],
+        {new[v]: k for v, k in g.loose},
+        g.free,
+    )
+    assert engine_class(relabelled) == engine_class(g)
+
+
+@st.composite
+def connected_loose_graphs(draw, max_vertices: int = 7) -> LooseGraph:
+    """A random tree on 1..max_vertices vertices plus chords and loose edges."""
+    n = draw(st.integers(1, max_vertices))
+    vs = [f"v{i}" for i in range(n)]
+    tree = [(vs[draw(st.integers(0, i - 1))], vs[i]) for i in range(1, n)]
+    pairs = [(a, b) for i, a in enumerate(vs) for b in vs[i + 1 :] if (a, b) not in tree]
+    chords = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    loose = draw(st.dictionaries(st.sampled_from(vs), st.integers(1, 2)))
+    return LooseGraph.build(vs, tree + chords, loose)
+
+
+@given(connected_loose_graphs(), st.integers(0, 2**32 - 1))
+def test_trace_under_random_spanning_tree(g, seed):
+    assert surgery_trace(g, Random(seed)).result_class == engine_class(g)
+
+
+def test_trace_rejects_a_lone_free_edge():
+    # shrunk failure: one free edge is a single component, yet it has no
+    # spanning tree to trace
+    g = LooseGraph.build((), (), (), 1)
+    assert is_connected(g)
+    with pytest.raises(LooseGraphError, match="surgery_trace\\(\\): connected input required"):
+        surgery_trace(g, Random(0))

@@ -1,0 +1,97 @@
+"""Large sparse inputs: the engine's reach depends on time and memory, not
+on Python's recursion limit.  Wall-clock bounds are generous; on a 2-core
+x86 machine grid 30x30 takes well under a second for the class and a few
+seconds for the trace."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import time
+from contextlib import contextmanager
+from pathlib import Path
+
+import pytest
+
+import loosezeta
+from loosezeta import (
+    LooseGraph,
+    class_polynomial,
+    count_points,
+    format_poly,
+    serialize,
+    surgery_trace,
+)
+
+DEFAULT_RECURSION_LIMIT = 1000
+
+
+def grid(a: int, b: int) -> LooseGraph:
+    name = [[f"g{i}_{j}" for j in range(b)] for i in range(a)]
+    edges = [(name[i][j], name[i][j + 1]) for i in range(a) for j in range(b - 1)]
+    edges += [(name[i][j], name[i + 1][j]) for i in range(a - 1) for j in range(b)]
+    return LooseGraph.build([v for row in name for v in row], edges)
+
+
+@contextmanager
+def default_recursion_limit():
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(DEFAULT_RECURSION_LIMIT)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+@contextmanager
+def within(seconds: float):
+    start = time.monotonic()
+    yield
+    elapsed = time.monotonic() - start
+    assert elapsed < seconds, f"took {elapsed:.2f}s, budget {seconds}s"
+
+
+@pytest.mark.parametrize("n", [20, 30])
+def test_grid_class_euler_count(n):
+    g = grid(n, n)
+    with default_recursion_limit(), within(30.0):
+        p = class_polynomial(g)
+    assert p.evaluate(1) == n * n
+    assert p.degree == 4
+
+
+def test_small_grid_class_matches_oracle():
+    g = grid(3, 4)
+    p = class_polynomial(g)
+    assert p.evaluate(2) == count_points(g, 2)
+    assert p.evaluate(3) == count_points(g, 3)
+
+
+@pytest.mark.parametrize("n", [20, 30])
+def test_grid_trace_agrees_with_class(n):
+    g = grid(n, n)
+    with default_recursion_limit(), within(60.0):
+        trace = surgery_trace(g)
+        p = class_polynomial(g)
+    assert len(trace.steps) == (n - 1) * (n - 1)
+    assert trace.result_class == p
+
+
+def test_cli_class_on_grid_20(tmp_path):
+    g = grid(20, 20)
+    path = tmp_path / "grid20.lg"
+    path.write_text(serialize(g))
+    src = str(Path(loosezeta.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    with within(60.0):
+        proc = subprocess.run(
+            [sys.executable, "-m", "loosezeta", "class", str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.strip() == format_poly(class_polynomial(g), "L")
