@@ -2,7 +2,8 @@
 
 Subcommands: gen, class, zeta, ihara, count, verify, trace, compare.
 Graphs are read from a path or stdin ("-", the default).  Exit codes:
-0 success, 1 domain error, 2 parse/usage error, 3 verification failure.
+0 success, 1 domain error or internal arithmetic error, 2 parse/usage
+error, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .loosegraph import (
     serialize,
 )
 from .pointcount import DEFAULT_BUDGET, count_points, is_prime, verify
-from .polyring import Poly, format_poly
+from .polyring import ExactDivisionError, Poly, format_poly
 from .zeta import f1_zeta, format_zeta
 
 EXIT_OK = 0
@@ -244,6 +245,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     except (LooseGraphError, IharaDomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except ExactDivisionError as exc:
+        print(f"error: internal arithmetic error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 
 

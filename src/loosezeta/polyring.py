@@ -7,7 +7,9 @@ empty coefficient tuple.  No floating point is used anywhere.
 The same representation serves three roles in this package: classes in
 the Lefschetz variable L, inverse Ihara zeta functions in u, and
 counting polynomials evaluated at prime powers q.  The variable symbol
-only matters when formatting.
+only matters when formatting.  Determinants of polynomial matrices are
+taken by integer Bareiss elimination at integer points, followed by
+exact Newton interpolation.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Iterable, Sequence
 
 
 class ExactDivisionError(ArithmeticError):
-    """An exact polynomial division left a remainder (implementation bug)."""
+    """A division that must be exact left a remainder (implementation bug)."""
 
 
 class Poly:
@@ -269,32 +271,55 @@ class PolyMatrix:
         return [[e.evaluate(x) for e in row] for row in self.entries]
 
     def det(self) -> Poly:
-        """Exact determinant via fraction-free (Bareiss) elimination.
-
-        Every interior division is exact by the Sylvester identity; a
-        division failure signals a bug and raises ExactDivisionError.
-        """
-        n = self.n
-        if n == 0:
+        """Exact determinant, of degree at most D = sum over rows of the largest
+        entry degree.  The matrix is evaluated at D + 1 consecutive integers
+        centred on 0, one at a time; integer Bareiss elimination gives each
+        value and exact Newton interpolation the coefficients.  Every
+        division is checked: a remainder raises ExactDivisionError."""
+        if self.n == 0:
             return Poly.one()
-        a: list[list[Poly]] = [list(row) for row in self.entries]
-        sign = 1
-        prev = Poly.one()
-        for k in range(n - 1):
-            if a[k][k].is_zero():
-                pivot_row = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
-                if pivot_row is None:
-                    return Poly.zero()
-                a[k], a[pivot_row] = a[pivot_row], a[k]
-                sign = -sign
-            pivot = a[k][k]
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = exact_div(a[i][j] * pivot - a[i][k] * a[k][j], prev)
-                a[i][k] = Poly.zero()
-            prev = pivot
-        result = a[n - 1][n - 1]
-        return result if sign == 1 else -result
+        nodes = max(sum(max(e.degree for e in row) for row in self.entries), 0) + 1
+        x0 = -(nodes // 2)
+        dd = [_bareiss(self.evaluate(x0 + i)) for i in range(nodes)]
+        # divided differences on unit-spaced nodes: forward differences / k!
+        for k in range(1, nodes):
+            for i in range(nodes - 1, k - 1, -1):
+                dd[i], r = divmod(dd[i] - dd[i - 1], k)
+                if r:
+                    raise ExactDivisionError(f"divided difference not divisible by {k}")
+        coeffs = [dd[-1]]
+        for k in range(nodes - 2, -1, -1):  # Horner in the Newton basis
+            root = x0 + k
+            shifted = [low - root * high for low, high in zip(coeffs, coeffs[1:])]
+            coeffs = [dd[k] - root * coeffs[0], *shifted, coeffs[-1]]
+        return Poly(coeffs)
+
+
+def _bareiss(a: list[list[int]]) -> int:
+    """Fraction-free (Bareiss 1968) determinant of a square integer matrix;
+    each step drops the pivot row and column, down to a 1x1 matrix."""
+    sign, prev = 1, 1
+    while len(a) > 1:
+        if not a[0][0]:
+            swap = next((i for i, row in enumerate(a) if row[0]), None)
+            if swap is None:
+                return 0
+            a[0], a[swap], sign = a[swap], a[0], -sign
+        (pivot, *top), rest = a[0], a[1:]
+        a = []
+        for f, *row in rest:
+            if f:
+                row = [x * pivot - f * y for x, y in zip(row, top)]
+            else:
+                row = [x * pivot for x in row]
+            if prev != 1:
+                qr = [divmod(x, prev) for x in row]
+                if any([r for _, r in qr]):
+                    raise ExactDivisionError(f"Bareiss step not divisible by {prev}")
+                row = [q for q, _ in qr]
+            a.append(row)
+        prev = pivot
+    return sign * a[0][0]
 
 
 def det(m: PolyMatrix) -> Poly:

@@ -219,3 +219,18 @@ def test_negative_budget_exits_2(capsys):
     # a budget of zero is valid and simply too small: a domain error
     code, _, err = run(capsys, ["count", "--q", "5", "--budget", "0"], stdin=K4_STAR_LG)
     assert code == 1 and "exceeds budget 0" in err
+
+
+def test_internal_arithmetic_error_exits_1(capsys, monkeypatch):
+    from loosezeta.polyring import ExactDivisionError, PolyMatrix
+
+    def broken_det(self):
+        raise ExactDivisionError("7 not divisible by 2")
+
+    monkeypatch.setattr(PolyMatrix, "det", broken_det)
+    triangle = "edge a b\nedge b c\nedge c a\n"
+    for argv in (["ihara", "-"], ["compare", "--json", "-"]):
+        code, out, err = run(capsys, argv, stdin=triangle)
+        assert code == 1 and out == "", argv
+        assert err == "error: internal arithmetic error: 7 not divisible by 2\n", argv
+        assert "Traceback" not in err

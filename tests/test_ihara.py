@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import time
 from random import Random
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from conftest import IHARA_COEFFS, corpus_graphs, random_ihara_graph
 from loosezeta import (
@@ -69,3 +72,69 @@ def test_domain_errors():
         )
     with pytest.raises(IharaDomainError):
         ihara_inverse(LooseGraph.build())
+
+
+def _bass_spectral_product(g: LooseGraph, spectrum: dict[int, int]) -> Poly:
+    """(1 - u^2)^(r-1) * prod over adjacency eigenvalues l of (1 - l u + (k-1) u^2)
+    for a k-regular graph, with eigenvalue multiplicities."""
+    k = g.graph_degree(next(iter(g.vertices)))
+    assert sum(spectrum.values()) == g.n_vertices
+    p = Poly((1, 0, -1)) ** (g.n_edges - g.n_vertices)
+    for eigenvalue, multiplicity in spectrum.items():
+        p = p * Poly((1, -eigenvalue, k - 1)) ** multiplicity
+    return p
+
+
+@pytest.mark.parametrize(
+    "family, params, spectrum",
+    [
+        ("johnson", (5, 2), {6: 1, 1: 4, -2: 5}),  # edge route: a 60x60 determinant
+        ("hexahedron", (), {3: 1, 1: 3, -1: 3, -3: 1}),
+    ],
+)
+def test_both_routes_match_the_adjacency_spectrum(family, params, spectrum):
+    g = generate(family, *params)
+    expected = _bass_spectral_product(g, spectrum)
+    start = time.monotonic()
+    assert ihara_inverse(g) == expected
+    assert edge_matrix_inverse(g) == expected
+    elapsed = time.monotonic() - start
+    # generous: on a 2-core x86 machine johnson 5 2 takes well under a second
+    assert elapsed < 60.0, f"took {elapsed:.2f}s"
+
+
+@st.composite
+def ihara_domain_graphs(draw) -> LooseGraph:
+    """Connected, minimum degree 2, rank >= 1, up to 8 vertices: the 2-core
+    of a random graph, restricted to the component of its first vertex."""
+    n = draw(st.integers(min_value=3, max_value=8))
+    pairs = [(f"v{i}", f"v{j}") for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=12))
+    adjacency: dict[str, set[str]] = {}
+    for a, b in edges:
+        adjacency.setdefault(a, set()).add(b)
+        adjacency.setdefault(b, set()).add(a)
+    low = [v for v, ns in adjacency.items() if len(ns) < 2]
+    while low:
+        v = low.pop()
+        for w in adjacency.pop(v, ()):
+            adjacency[w].discard(v)
+            if len(adjacency[w]) == 1:
+                low.append(w)
+    assume(adjacency)
+    component, frontier = set(), [min(adjacency)]
+    while frontier:
+        v = frontier.pop()
+        if v not in component:
+            component.add(v)
+            frontier.extend(adjacency[v])
+    kept_edges = sorted((a, b) for a, b in edges if a in component and b in component)
+    return LooseGraph.build(sorted(component), kept_edges)
+
+
+@given(ihara_domain_graphs())
+def test_routes_agree_in_the_ihara_domain(g):
+    p = ihara_inverse(g)
+    assert p == edge_matrix_inverse(g)
+    assert p.degree == 2 * g.n_edges
+    assert p.coefficient(0) == 1

@@ -214,3 +214,39 @@ def test_det_commutes_with_evaluation():
         for _ in range(3):
             x = rng.randint(-6, 6)
             assert d.evaluate(x) == _fraction_det(m.evaluate(x))
+
+
+def test_det_edge_cases():
+    assert PolyMatrix([]).det() == Poly.one()
+    assert PolyMatrix([[0]]).det() == Poly.zero()
+    assert PolyMatrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]]).det() == Poly.const(18)
+    zero_row = PolyMatrix([[L, 1, 2], [0, 0, 0], [L**2, L, 1]])
+    assert zero_row.det() == Poly.zero()
+    zero_col = PolyMatrix([[L, 0, 1], [L**3, 0, L], [1, 0, 2]])
+    assert zero_col.det() == Poly.zero()
+    # after the first elimination step the (1, 1) entry is 0 at every x != 0
+    late_zero_pivot = PolyMatrix([[L, 1, 0], [L, 1, 1], [0, 1, L]])
+    assert late_zero_pivot.det() == -L
+
+
+@st.composite
+def poly_matrices(draw) -> PolyMatrix:
+    n = draw(st.integers(min_value=0, max_value=5))
+    entry = st.one_of(
+        st.just(Poly.zero()),
+        st.lists(st.integers(min_value=-5, max_value=5), max_size=4).map(Poly),
+    )
+    row = st.lists(entry, min_size=n, max_size=n)
+    return PolyMatrix(draw(st.lists(row, min_size=n, max_size=n)))
+
+
+@given(poly_matrices(), st.lists(st.integers(min_value=-9, max_value=9), min_size=3, max_size=3))
+def test_det_matches_fraction_oracles(m, points):
+    d = m.det()
+    # the oracle's degree bound needs nonzero rows; a zero row makes det 0
+    if any(all(e.is_zero() for e in row) for row in m.entries):
+        assert d == Poly.zero()
+    else:
+        assert d == _det_by_interpolation(m)
+    for x in points:
+        assert d.evaluate(x) == _fraction_det(m.evaluate(x))
