@@ -2,8 +2,9 @@
 
 Subcommands: gen, class, zeta, ihara, count, verify, trace, compare.
 Graphs are read from a path or stdin ("-", the default).  Exit codes:
-0 success, 1 domain error or internal arithmetic error, 2 parse/usage
-error, 3 verification failure.
+0 success, 1 domain error or internal error, 2 parse/usage error,
+3 verification failure.  An error prints one ``error: ...`` line on
+stderr instead of a traceback.
 """
 
 from __future__ import annotations
@@ -248,6 +249,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_DOMAIN
     except ExactDivisionError as exc:
         print(f"error: internal arithmetic error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 
 

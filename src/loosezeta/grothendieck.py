@@ -13,24 +13,26 @@ otherwise resolve the fundamental edges of a spanning tree one by one,
 subtracting each edge's resolution difference.  A step reads only the
 two unit balls of its edge, so it costs as much as that neighborhood.
 
-The neighborhood pieces are evaluated by inclusion-exclusion over the
-local affine charts (equivalently, over cliques of real vertices): for a
-clique S with c(S) common chart directions the intersection of charts
-contributes (L-1)^(|S|-1) * L^c(S).  This evaluates each piece *as
+The resolution difference of xy needs three neighborhood pieces only:
+with m common neighbors, Delta = (L-1)*L^m + (L-1)^2*([glx] + [gly] - [g])
+(see resolution_difference()).  Each piece is evaluated by
+inclusion-exclusion over the local affine charts (equivalently, over
+cliques of real vertices): a clique S with c(S) common chart directions
+contributes (1-L)^(|S|-1) * L^c(S).  This evaluates each piece *as
 embedded*, which matters when two of its loose edges point at the same
 outside vertex.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from random import Random
-from typing import AbstractSet, Mapping, Sequence
+from typing import AbstractSet, Mapping
 
 from .loosegraph import (
     LooseGraph,
     LooseGraphError,
-    NeighborhoodData,
     _adjacency_sets,
     _bfs_tree,
     _components,
@@ -38,6 +40,7 @@ from .loosegraph import (
     _norm_edge,
     induced,
     is_connected,
+    is_loose_tree,
     reduce,
     resolve,
     spanning_tree,
@@ -57,14 +60,10 @@ def tree_class(t: LooseGraph) -> Poly:
     An isolated vertex is a single closed point and returns 1 (the formula
     itself is only meaningful for trees with at least one edge).
     """
-    if t.free:
-        raise LooseGraphError("tree_class(): input has free edges")
-    if not t.vertices:
-        raise LooseGraphError("tree_class(): empty input")
-    if not is_connected(t):
-        raise LooseGraphError("tree_class(): input disconnected")
-    if t.n_edges != t.n_vertices - 1:
-        raise LooseGraphError("tree_class(): input has a cycle")
+    if not is_loose_tree(t):
+        raise LooseGraphError(
+            "tree_class(): not a loose tree (empty, disconnected, has a cycle or has free edges)"
+        )
     adj = t.adjacency()
     lm = t.loose_map()
     return _tree_form([len(adj[v]) + lm.get(v, 0) for v in t.vertices])
@@ -106,14 +105,8 @@ def cone_class(g1: LooseGraph, g2: LooseGraph) -> Poly:
     if overlap:
         raise LooseGraphError(f"cone_class(): overlapping labels {sorted(overlap)}")
     m1, m2 = g1.n_vertices, g2.n_vertices
-    p1 = class_polynomial(reduce(g1)[0])
-    p2 = class_polynomial(reduce(g2)[0])
-    corr1 = Poly.zero()
-    for v in g1.vertices:
-        corr1 = corr1 + L ** g1.degree(v) - L ** g1.graph_degree(v)
-    corr2 = Poly.zero()
-    for w in g2.vertices:
-        corr2 = corr2 + L ** g2.degree(w) - L ** g2.graph_degree(w)
+    (r1, corr1), (r2, corr2) = reduce(g1), reduce(g2)
+    p1, p2 = class_polynomial(r1), class_polynomial(r2)
     return p1 * L**m2 + p2 * L**m1 - p1 * p2 * (L - 1) + L**m2 * corr1 + L**m1 * corr2
 
 
@@ -128,72 +121,24 @@ def chart_class(charts: Mapping[str, AbstractSet[str]]) -> Poly:
     ``charts[v]`` holds the direction tokens of v: real vertices are the
     keys, any other token is a phantom direction.  Tokens are identities,
     so two charts pointing at the same outside vertex share that
-    coordinate.  Inclusion-exclusion over cliques of real vertices; for a
-    clique S the charts intersect in (L-1)^(|S|-1) L^{#common tokens}.
+    coordinate.  Inclusion-exclusion over cliques of real vertices: a
+    clique S whose charts share c tokens contributes (1-L)^(|S|-1) L^c.
+    The cliques are counted by (|S|, c) and the polynomial built once.
     """
     reals = sorted(charts)
     sets = {v: frozenset(s) for v, s in charts.items()}
-    pow_lm1 = [Poly.one()]
-    for _ in reals:
-        pow_lm1.append(pow_lm1[-1] * (L - 1))
-    total = Poly.zero()
-
-    def extend(common: frozenset[str], cand: tuple[str, ...], size: int) -> Poly:
-        # size = clique size before extension; adding one vertex flips the sign
-        acc = Poly.zero()
-        positive = size % 2 == 0
+    census: Counter[tuple[int, int]] = Counter()
+    # (clique size, tokens shared by its charts, later reals adjacent to all of it)
+    stack = [(1, sets[v], [u for u in reals[i + 1 :] if u in sets[v]]) for i, v in enumerate(reals)]
+    while stack:
+        size, common, cand = stack.pop()
+        census[size, len(common)] += 1
         for i, u in enumerate(cand):
-            new_common = common & sets[u]
-            term = pow_lm1[size] * L ** len(new_common)
-            acc = acc + (term if positive else -term)
-            new_cand = tuple(w for w in cand[i + 1 :] if w in sets[u])
-            if new_cand:
-                acc = acc + extend(new_common, new_cand, size + 1)
-        return acc
-
-    for i, v in enumerate(reals):
-        total = total + L ** len(sets[v])
-        cand = tuple(u for u in reals[i + 1 :] if u in sets[v])
-        if cand:
-            total = total + extend(sets[v], cand, 1)
+            stack.append((size + 1, common & sets[u], [w for w in cand[i + 1 :] if w in sets[u]]))
+    total = Poly.zero()
+    for (size, c), n in census.items():
+        total = total + n * (1 - L) ** (size - 1) * L**c
     return total
-
-
-def _cone_charts(
-    charts: Mapping[str, frozenset[str]], tips: tuple[str, ...]
-) -> dict[str, frozenset[str]]:
-    """Charts of the cone that joins one or two tip vertices to every real
-    vertex of a piece (tips become real; the pair of tips is an edge)."""
-    base = frozenset(charts)
-    out = {v: s | frozenset(tips) for v, s in charts.items()}
-    if len(tips) == 2:
-        out[tips[0]] = base | {tips[1]}
-        out[tips[1]] = base | {tips[0]}
-    else:
-        out[tips[0]] = base
-    return out
-
-
-def _piece_classes(
-    components: Sequence[Sequence[str]],
-    gl: Mapping[str, frozenset[str]],
-    glx: Mapping[str, frozenset[str]],
-    gly: Mapping[str, frozenset[str]],
-) -> list[tuple[Poly, Poly, Poly]]:
-    return [
-        (
-            chart_class({v: gl[v] for v in comp}),
-            chart_class({v: glx[v] for v in comp}),
-            chart_class({v: gly[v] for v in comp}),
-        )
-        for comp in components
-    ]
-
-
-def component_piece_classes(nd: NeighborhoodData) -> list[tuple[Poly, Poly, Poly]]:
-    """Embedded classes ([C^j], [C^j_x], [C^j_y]) per component of gl."""
-    charts = (dict(nd.charts_gl), dict(nd.charts_glx), dict(nd.charts_gly))
-    return _piece_classes(nd.components, *charts)
 
 
 # ---------------------------------------------------------------------------
@@ -204,27 +149,11 @@ def component_piece_classes(nd: NeighborhoodData) -> list[tuple[Poly, Poly, Poly
 def _difference(adj: Mapping[str, AbstractSet[str]], x: str, y: str) -> Poly:
     """The resolution difference of the edge xy of the reduced graph held
     in ``adj``; reads the two unit balls of the edge only."""
-    components, gl, glx, gly = _edge_charts(adj, x, y)
-    cls_gl = cls_glx = cls_gly = Poly.zero()
-    for cj, cjx, cjy in _piece_classes(components, gl, glx, gly):
-        cls_gl = cls_gl + cj
-        cls_glx = cls_glx + cjx
-        cls_gly = cls_gly + cjy
-    c_gl_xy = chart_class(_cone_charts(gl, (x, y)))
-    c_glx_xy = chart_class(_cone_charts(glx, (x, y)))
-    c_glx_y = chart_class(_cone_charts(glx, (y,)))
-    c_gly_xy = chart_class(_cone_charts(gly, (x, y)))
-    c_gly_x = chart_class(_cone_charts(gly, (x,)))
-    return (
-        L**2 * cls_gl
-        - (L - 1) * cls_glx
-        - (L - 1) * cls_gly
-        - c_gl_xy
-        + c_glx_xy
-        - c_glx_y
-        + c_gly_xy
-        - c_gly_x
-    )
+    gl, glx, gly = _edge_charts(adj, x, y)
+    common = frozenset(gl)
+    g = {v: s & common for v, s in gl.items()}
+    brackets = chart_class(glx) + chart_class(gly) - chart_class(g)
+    return (L - 1) * L ** len(common) + (L - 1) ** 2 * brackets
 
 
 def _resolve_step(adj: dict[str, set[str]], x: str, y: str) -> Poly:
@@ -238,10 +167,23 @@ def _resolve_step(adj: dict[str, set[str]], x: str, y: str) -> Poly:
 def resolution_difference(g: LooseGraph, edge: tuple[str, str]) -> Poly:
     """class(resolve(g, edge)) - class(g), from the edge neighborhood only.
 
-    Evaluated as L^2*[gl] - (L-1)*[glx] - (L-1)*[gly] - [C(gl,xy)]
-    + [C(glx,xy)] - [C(glx,y)] + [C(gly,xy)] - [C(gly,x)], with the first
-    three classes summed over the connected components of gl and every
-    bracket taken as an embedded chart class.
+    The paper writes it with eight embedded chart classes, L^2*[gl]
+    - (L-1)*[glx] - (L-1)*[gly] - [C(gl,xy)] + [C(glx,xy)] - [C(glx,y)]
+    + [C(gly,xy)] - [C(gly,x)], the first three summed over the components
+    of gl.  With m common neighbors and [g] the chart class of the plain
+    graph on them, this is
+
+        (L-1)*L^m + (L-1)^2 * ([glx] + [gly] - [g]).
+
+    Why: every clique of a cone is a clique S of the common neighbors plus
+    a set T of tips.  The tips are tokens of every base chart, so the
+    terms with T empty give L^2*[gl] in [C(gl,xy)], which cancels the
+    first bracket, and L^2*[glx] - L*[glx] in the glx cones (likewise for
+    gly).  A tip's chart holds the common neighbors and the other tip, so
+    with T nonempty the tokens S shares are those of the plain graph g;
+    over the five cones these terms sum to -(L-1)^2*[g].  The cliques of
+    tips alone (S empty) leave (L-1)*L^m.  Chart classes add over
+    components, so the per-component sums are the classes of the whole.
     """
     if not g.is_reduced():
         raise LooseGraphError("resolution_difference(): graph must be reduced first")

@@ -120,9 +120,6 @@ class LooseGraph:
     def loose_map(self) -> dict[str, int]:
         return dict(self.loose)
 
-    def has_edge(self, a: str, b: str) -> bool:
-        return _norm_edge(a, b) in self.edge_set()
-
     def adjacency(self) -> dict[str, list[str]]:
         """Neighbor lists in sorted order."""
         adj: dict[str, list[str]] = {v: [] for v in self.vertices}
@@ -574,14 +571,13 @@ _Charts = dict[str, frozenset[str]]
 
 def _edge_charts(
     adj: Mapping[str, AbstractSet[str]], x: str, y: str
-) -> tuple[list[list[str]], _Charts, _Charts, _Charts]:
+) -> tuple[_Charts, _Charts, _Charts]:
     """Charts of the common neighbors of the edge xy, read from the two
     unit balls only.
 
-    Returns ``(components, gl, glx, gly)``: each chart maps a common
-    neighbor to its neighbors in the punctured union of the balls, in the
-    x-ball minus y and in the y-ball minus x.  ``components`` splits the
-    sorted common neighbors into the sorted connected pieces of gl.
+    Returns ``(gl, glx, gly)``: each chart maps a common neighbor to its
+    neighbors in the punctured union of the balls, in the x-ball minus y
+    and in the y-ball minus x.
     """
     nx, ny = adj[x], adj[y]
     ball_x = nx - {y}
@@ -596,9 +592,7 @@ def _edge_charts(
         gl[v] = frozenset(nv & ball)
         glx[v] = frozenset(nv & ball_x)
         gly[v] = frozenset(nv & ball_y)
-    cset = set(common)
-    parts = _components({v: gl[v] & cset for v in common}, common)
-    return [sorted(p) for p in parts], gl, glx, gly
+    return gl, glx, gly
 
 
 def neighborhood(g: LooseGraph, edge: tuple[str, str]) -> NeighborhoodData:
@@ -613,8 +607,10 @@ def neighborhood(g: LooseGraph, edge: tuple[str, str]) -> NeighborhoodData:
     if _norm_edge(x, y) not in g.edge_set():
         raise LooseGraphError(f"neighborhood(): {x!r}-{y!r} is not an edge")
     adj = _adjacency_sets(g)
-    comps, charts_gl, charts_glx, charts_gly = _edge_charts(adj, x, y)
+    charts_gl, charts_glx, charts_gly = _edge_charts(adj, x, y)
     common = sorted(charts_gl)
+    cset = set(common)
+    comps = _components({v: charts_gl[v] & cset for v in common}, common)
     gl = _loose_view(common, charts_gl)
     glx = _loose_view(common, charts_glx)
     gly = _loose_view(common, charts_gly)
@@ -631,7 +627,7 @@ def neighborhood(g: LooseGraph, edge: tuple[str, str]) -> NeighborhoodData:
         cone_glx_y=_cone_view(glx, [y]),
         cone_gly_xy=_cone_view(gly, [x, y]),
         cone_gly_x=_cone_view(gly, [x]),
-        components=tuple(tuple(c) for c in comps),
+        components=tuple(tuple(sorted(c)) for c in comps),
         charts_gl=tuple(sorted(charts_gl.items())),
         charts_glx=tuple(sorted(charts_glx.items())),
         charts_gly=tuple(sorted(charts_gly.items())),

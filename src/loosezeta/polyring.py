@@ -185,9 +185,6 @@ class Poly:
 #: The class of the affine line, the usual indeterminate of counting polynomials.
 L = Poly.monomial(1)
 
-#: The Ihara variable; same object as L, kept for readable formulas.
-U = Poly.monomial(1)
-
 
 def format_poly(p: Poly, symbol: str) -> str:
     """Human-readable form with descending powers, e.g. ``5L^4 - 4L + 4``."""

@@ -234,3 +234,14 @@ def test_internal_arithmetic_error_exits_1(capsys, monkeypatch):
         assert code == 1 and out == "", argv
         assert err == "error: internal arithmetic error: 7 not divisible by 2\n", argv
         assert "Traceback" not in err
+
+
+def test_unexpected_exception_exits_1_with_one_line(capsys, monkeypatch):
+    def broken_class(g):
+        raise KeyError("v1")
+
+    monkeypatch.setattr("loosezeta.cli.class_polynomial", broken_class)
+    for argv in (["class", "-"], ["zeta", "--json", "-"]):
+        code, out, err = run(capsys, argv, stdin=K4_STAR_LG)
+        assert code == 1 and out == "", argv
+        assert err == "error: internal error: KeyError: 'v1'\n", argv

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from itertools import combinations
 from random import Random
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from conftest import (
     CLASS_COEFFS,
@@ -39,7 +42,7 @@ from loosezeta import (
     surgery_trace,
     tree_class,
 )
-from loosezeta.grothendieck import canonical_key, chart_class, component_piece_classes
+from loosezeta.grothendieck import canonical_key, chart_class
 from loosezeta.polyring import L, Poly
 
 
@@ -178,14 +181,20 @@ def test_local_before_after_p1():
     assert local_after(p1, ("a", "b")) == 2 * L
 
 
+def piece_classes(nd) -> list[Poly]:
+    """Embedded class [C^j] of each component of gl."""
+    gl = dict(nd.charts_gl)
+    return [chart_class({v: gl[v] for v in comp}) for comp in nd.components]
+
+
 def test_embedded_piece_classes_share_targets():
     # two adjacent common neighbors whose loose edges point at one vertex:
     # embedded class L^2 + L, not the abstract loose-tree value 2L^2 - L + 1
     g = parse(STEP5_GRAPH_LG)
     nd = neighborhood(g, STEP5_EDGE)
-    pieces = component_piece_classes(nd)
+    pieces = piece_classes(nd)
     assert len(pieces) == 1
-    assert pieces[0][0] == L**2 + L
+    assert pieces[0] == L**2 + L
 
 
 def test_piece_classes_on_components_remark():
@@ -195,8 +204,8 @@ def test_piece_classes_on_components_remark():
         "edge x y\nedge x u\nedge x v\nedge y u\nedge y v\nedge y w\nedge w u\nedge w v\n"
     )
     nd = neighborhood(g, ("x", "y"))
-    pieces = component_piece_classes(nd)
-    assert [p[0] for p in pieces] == [L, L]
+    pieces = piece_classes(nd)
+    assert pieces == [L, L]
 
 
 def test_chart_class_component_additivity():
@@ -210,10 +219,93 @@ def test_chart_class_component_additivity():
         nd = neighborhood(g, e)
         whole = chart_class(dict(nd.charts_gl))
         split = Poly.zero()
-        for cj, _, _ in component_piece_classes(nd):
+        for cj in piece_classes(nd):
             split = split + cj
         assert whole == split
         checked += 1
+
+
+def cone_charts(charts, tips: tuple[str, ...]) -> dict[str, frozenset[str]]:
+    """Charts of the cone joining the tips to every vertex of a piece: the
+    tips become real vertices, adjacent to each other."""
+    out = {v: frozenset(s) | frozenset(tips) for v, s in charts.items()}
+    for t in tips:
+        out[t] = frozenset(charts) | (frozenset(tips) - {t})
+    return out
+
+
+def eight_bracket_difference(nd) -> Poly:
+    """The paper's resolution difference, bracket by bracket: L^2*[gl]
+    - (L-1)*[glx] - (L-1)*[gly] summed over the components of gl, then
+    - [C(gl,xy)] + [C(glx,xy)] - [C(glx,y)] + [C(gly,xy)] - [C(gly,x)]."""
+    gl, glx, gly = dict(nd.charts_gl), dict(nd.charts_glx), dict(nd.charts_gly)
+    x, y = nd.x, nd.y
+    total = Poly.zero()
+    for comp in nd.components:
+        total = (
+            total
+            + L**2 * chart_class({v: gl[v] for v in comp})
+            - (L - 1) * chart_class({v: glx[v] for v in comp})
+            - (L - 1) * chart_class({v: gly[v] for v in comp})
+        )
+    return (
+        total
+        - chart_class(cone_charts(gl, (x, y)))
+        + chart_class(cone_charts(glx, (x, y)))
+        - chart_class(cone_charts(glx, (y,)))
+        + chart_class(cone_charts(gly, (x, y)))
+        - chart_class(cone_charts(gly, (x,)))
+    )
+
+
+@st.composite
+def dense_graphs(draw) -> LooseGraph:
+    """Reduced graphs on 7..9 vertices with edge probability at least 0.6."""
+    n = draw(st.integers(7, 9))
+    p = draw(st.floats(0.6, 1.0))
+    rng = Random(draw(st.integers(0, 2**32 - 1)))
+    vs = [f"v{i}" for i in range(n)]
+    pairs = [(a, b) for i, a in enumerate(vs) for b in vs[i + 1 :]]
+    return LooseGraph.build(vs, [e for e in pairs if rng.random() < p])
+
+
+@given(dense_graphs(), st.integers(0, 2**16))
+def test_difference_matches_eight_brackets_on_dense_graphs(g, pick):
+    assume(g.edges)
+    e = g.edges[pick % g.n_edges]
+    assert resolution_difference(g, e) == eight_bracket_difference(neighborhood(g, e))
+
+
+def brute_force_chart_class(charts) -> Poly:
+    """Inclusion-exclusion over every vertex subset that is a clique."""
+    reals = sorted(charts)
+    total = Poly.zero()
+    for size in range(1, len(reals) + 1):
+        for s in combinations(reals, size):
+            if all(u in charts[v] for v in s for u in s if u != v):
+                shared = frozenset.intersection(*(frozenset(charts[v]) for v in s))
+                total = total + (1 - L) ** (size - 1) * L ** len(shared)
+    return total
+
+
+@st.composite
+def shared_token_charts(draw) -> dict[str, frozenset[str]]:
+    """Charts on up to 7 reals with symmetric real adjacency and phantom
+    tokens drawn from a pool of three, so charts share phantoms."""
+    n = draw(st.integers(0, 7))
+    reals = [f"r{i}" for i in range(n)]
+    pairs = [(a, b) for i, a in enumerate(reals) for b in reals[i + 1 :]]
+    adjacent = set(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else set()
+    phantoms = st.frozensets(st.sampled_from(["p0", "p1", "p2"]))
+    return {
+        v: frozenset(u for u in reals if (u, v) in adjacent or (v, u) in adjacent) | draw(phantoms)
+        for v in reals
+    }
+
+
+@given(shared_token_charts())
+def test_chart_class_matches_brute_force(charts):
+    assert chart_class(charts) == brute_force_chart_class(charts)
 
 
 def test_local_difference_identity_on_corpus():
