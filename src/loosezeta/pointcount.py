@@ -1,23 +1,24 @@
 """Brute-force rational point counting over small prime fields.
 
-Independent oracle for the symbolic engine: it enumerates, for each
-vertex v, the p^deg(v) canonical projective points of the affine chart
-at v (coordinate of v nonzero, support inside v's closed star) into one
-deduplicating set, then adds the p-1 points of each free edge.  Nothing
-here touches the class-polynomial machinery beyond the final comparison
-in verify().
+Independent oracle for the symbolic engine.  count_points() inserts the key
+sum x_i p^i (first nonzero x_i scaled to 1) of every point of every vertex
+chart (x_v = 1, support in v's closed star and phantoms) into one set: p^v
++ T(after v) where v leads, and s p^v + p^d + T(dirs after d) for each s in
+1..p-1 where an earlier direction d leads, T(D) being all sums sum w_i p^i
+over w in F_p^D.  All sum p^deg(v) keys are generated (estimated_work()).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .grothendieck import class_polynomial
 from .loosegraph import LooseGraph, ambient_space
 
 DEFAULT_PRIME_BOUND = 13
 DEFAULT_BUDGET = 10_000_000
+#: Sums per table; bounds the memory a chart adds to the point set.
+TABLE_CAP = 1024
 
 
 class BudgetError(ValueError):
@@ -40,13 +41,8 @@ def estimated_work(g: LooseGraph, p: int) -> int:
     return sum(p ** g.degree(v) for v in g.vertices) + g.free * (p - 1)
 
 
-def count_points(
-    g: LooseGraph,
-    p: int,
-    budget: int = DEFAULT_BUDGET,
-    prime_bound: int = DEFAULT_PRIME_BOUND,
-) -> int:
-    """Exact number of F_p-rational points of the scheme attached to g."""
+def _check_limits(g: LooseGraph, p: int, budget: int, prime_bound: int) -> None:
+    """Raise unless p is a prime within the bound whose work fits the budget."""
     if not is_prime(p):
         raise ValueError(f"count_points(): {p} is not prime")
     if p > prime_bound:
@@ -55,49 +51,51 @@ def count_points(
     if work > budget:
         raise BudgetError(f"count_points(): estimated work {work} exceeds budget {budget}")
 
-    amb = ambient_space(g)
-    index = {name: i for i, name in enumerate(amb.coordinates)}
-    ppow = [p**i for i in range(len(amb.coordinates))]
-    inv = [0] * p
-    for a in range(1, p):
-        inv[a] = pow(a, p - 2, p)
 
+def _grow(table: list[int], offsets: list[int], step: int, p: int) -> tuple[list[int], list[int]]:
+    """T(D + {d}) from T(D) = table + offsets, where step = p^d.  Once the
+    table holds TABLE_CAP sums it stays, and the offsets grow instead."""
+    small = len(table) < TABLE_CAP
+    sums = table if small else offsets
+    grown = sums[:]
+    for w in range(1, p):
+        grown += map((w * step).__add__, sums)
+    return (grown, offsets) if small else (table, grown)
+
+
+def count_points(
+    g: LooseGraph,
+    p: int,
+    budget: int = DEFAULT_BUDGET,
+    prime_bound: int = DEFAULT_PRIME_BOUND,
+) -> int:
+    """Exact number of F_p-rational points of the scheme attached to g."""
+    _check_limits(g, p, budget, prime_bound)
+    index = {name: i for i, name in enumerate(ambient_space(g).coordinates)}
+    ppow = [p**i for i in range(len(index))]
     # phantom coordinate indices of each vertex's loose edges
-    phantoms: dict[str, list[int]] = {v: [] for v in g.vertices}
-    for v, k in g.loose:
-        phantoms[v] = [index[f"{v}#loose{i}"] for i in range(k)]
+    phantoms = {v: [index[f"{v}#loose{i}"] for i in range(k)] for v, k in g.loose}
 
     points: set[int] = set()
     adjacency = g.adjacency()
     for v in g.vertices:
-        iv = index[v]
-        dirs = sorted([index[u] for u in adjacency[v]] + phantoms[v])
-        dir_pows = [ppow[i] for i in dirs]
-        before = [j for j, i in enumerate(dirs) if i < iv]
-        base = ppow[iv]
-        for vals in product(range(p), repeat=len(dirs)):
-            lead = -1
-            for j in before:
-                if vals[j]:
-                    lead = j
-                    break
-            if lead < 0:
-                key = base
-                for j, val in enumerate(vals):
-                    if val:
-                        key += val * dir_pows[j]
-            else:
-                s = inv[vals[lead]]
-                key = (s % p) * base
-                for j, val in enumerate(vals):
-                    if val:
-                        key += (val * s % p) * dir_pows[j]
-            points.add(key)
-
-    count = len(points)
+        base = ppow[index[v]]
+        dirs = sorted([index[u] for u in adjacency[v]] + phantoms.get(v, []))
+        before = [i for i in dirs if i < index[v]]
+        table, offsets = [0], [0]
+        for i in dirs[len(before) :]:
+            table, offsets = _grow(table, offsets, ppow[i], p)
+        for o in offsets:
+            points.update(map((base + o).__add__, table))
+        for j in reversed(range(len(before))):
+            lead = ppow[before[j]]
+            for s in range(1, p):
+                for o in offsets:
+                    points.update(map((s * base + lead + o).__add__, table))
+            if j:
+                table, offsets = _grow(table, offsets, lead, p)
     # free edges live on their own pair of coordinates, disjoint from all charts
-    count += g.free * (p - 1)
-    return count
+    return len(points) + g.free * (p - 1)
 
 
 @dataclass(frozen=True)
@@ -146,6 +144,8 @@ def verify(
     prime_bound: int = DEFAULT_PRIME_BOUND,
 ) -> VerifyReport:
     """Compare eval(class, q) against the brute-force count for each prime."""
+    for q in primes:
+        _check_limits(g, q, budget, prime_bound)
     poly = class_polynomial(g)
     checks = []
     for q in primes:

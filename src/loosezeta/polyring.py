@@ -140,6 +140,9 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
+        cs = self.coeffs
+        if cs and not any(cs[:-1]):
+            return Poly.monomial((len(cs) - 1) * n, cs[-1] ** n)
         result = Poly.one()
         base = self
         while n:

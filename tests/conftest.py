@@ -8,6 +8,7 @@ from __future__ import annotations
 from random import Random
 
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from loosezeta import LooseGraph, generate, parse
 from loosezeta.polyring import Poly
@@ -162,6 +163,18 @@ def random_loose_tree(rng: Random, max_vertices: int = 10, max_loose: int = 3) -
         v = rng.choice(vs)
         loose[v] = loose.get(v, 0) + 1
     return LooseGraph.build(vs, edges, loose)
+
+
+@st.composite
+def loose_graphs(draw, max_vertices: int = 6) -> LooseGraph:
+    """Random loose graph with loose and free edges; may be disconnected."""
+    n = draw(st.integers(0, max_vertices))
+    vs = [f"v{i}" for i in range(n)]
+    pairs = [(a, b) for i, a in enumerate(vs) for b in vs[i + 1 :]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    loose = draw(st.dictionaries(st.sampled_from(vs), st.integers(1, 2))) if vs else {}
+    free = draw(st.integers(0, 2))
+    return LooseGraph.build(vs, edges, loose, free)
 
 
 def random_ihara_graph(rng: Random, max_vertices: int = 8, max_edges: int = 12) -> LooseGraph:

@@ -1,36 +1,34 @@
 """Differential property tests of the surgery engine on small random loose
 graphs with loose and free edges, possibly disconnected.  The brute-force
-point count, the Euler count P(1) = #vertices, relabelling and random
-spanning trees are independent of the loop that computes the class."""
+point count, the Euler count P(1) = #vertices, relabelling, random
+spanning trees and the loose-tree closed forms are independent of the loop
+that computes the class."""
 
 from __future__ import annotations
 
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from conftest import loose_graphs
 from loosezeta import (
     LooseGraph,
     LooseGraphError,
     class_polynomial,
     count_points,
+    f1_zeta,
     is_connected,
     surgery_trace,
+    tree_class,
+    tree_zeta_closed_form,
 )
 from loosezeta import grothendieck
+from loosezeta.pointcount import estimated_work
 
-
-@st.composite
-def loose_graphs(draw, max_vertices: int = 6) -> LooseGraph:
-    n = draw(st.integers(0, max_vertices))
-    vs = [f"v{i}" for i in range(n)]
-    pairs = [(a, b) for i, a in enumerate(vs) for b in vs[i + 1 :]]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    loose = draw(st.dictionaries(st.sampled_from(vs), st.integers(1, 2))) if vs else {}
-    free = draw(st.integers(0, 2))
-    return LooseGraph.build(vs, edges, loose, free)
+#: Enumeration work allowed per oracle call at p = 5, to keep examples fast.
+P5_WORK = 2 * 10**5
 
 
 def engine_class(g: LooseGraph):
@@ -45,6 +43,12 @@ def test_class_matches_point_counts(g):
     assert p.evaluate(1) == g.n_vertices
     assert p.evaluate(2) == count_points(g, 2)
     assert p.evaluate(3) == count_points(g, 3)
+
+
+@given(loose_graphs())
+def test_class_matches_point_count_at_five(g):
+    assume(estimated_work(g, 5) <= P5_WORK)
+    assert engine_class(g).evaluate(5) == count_points(g, 5)
 
 
 @given(loose_graphs(), st.randoms(use_true_random=False))
@@ -62,15 +66,33 @@ def test_class_is_label_independent(g, rnd):
 
 
 @st.composite
-def connected_loose_graphs(draw, max_vertices: int = 7) -> LooseGraph:
-    """A random tree on 1..max_vertices vertices plus chords and loose edges."""
+def loose_trees(draw, max_vertices: int = 7) -> LooseGraph:
+    """A random tree on 1..max_vertices vertices with loose edges."""
     n = draw(st.integers(1, max_vertices))
     vs = [f"v{i}" for i in range(n)]
     tree = [(vs[draw(st.integers(0, i - 1))], vs[i]) for i in range(1, n)]
-    pairs = [(a, b) for i, a in enumerate(vs) for b in vs[i + 1 :] if (a, b) not in tree]
-    chords = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     loose = draw(st.dictionaries(st.sampled_from(vs), st.integers(1, 2)))
-    return LooseGraph.build(vs, tree + chords, loose)
+    return LooseGraph.build(vs, tree, loose)
+
+
+@st.composite
+def connected_loose_graphs(draw, max_vertices: int = 7) -> LooseGraph:
+    """A random loose tree plus chords."""
+    t = draw(loose_trees(max_vertices))
+    vs = t.vertices
+    pairs = [(a, b) for i, a in enumerate(vs) for b in vs[i + 1 :] if (a, b) not in t.edges]
+    chords = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return LooseGraph.build(vs, t.edges + tuple(chords), t.loose)
+
+
+@given(loose_trees())
+def test_tree_closed_forms_match_oracle(t):
+    assume(estimated_work(t, 5) <= P5_WORK)
+    cls = tree_class(t)
+    for p in (2, 3, 5):
+        assert cls.evaluate(p) == count_points(t, p)
+    if t.n_edges or t.loose:
+        assert f1_zeta(cls) == tree_zeta_closed_form(t)
 
 
 @given(connected_loose_graphs(), st.integers(0, 2**32 - 1))

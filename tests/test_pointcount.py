@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from itertools import product
 from random import Random
+from unittest.mock import patch
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from conftest import K4_STAR_LG, STEP5_GRAPH_LG, corpus_graphs, random_loose_graph
+from conftest import K4_STAR_LG, STEP5_GRAPH_LG, corpus_graphs, loose_graphs, random_loose_graph
 from loosezeta import (
     LooseGraph,
     class_polynomial,
@@ -16,6 +20,8 @@ from loosezeta import (
     parse,
     verify,
 )
+from loosezeta import pointcount
+from loosezeta.loosegraph import ambient_space
 from loosezeta.pointcount import BudgetError, estimated_work, is_prime
 
 
@@ -62,6 +68,48 @@ def test_count_errors():
     with pytest.raises(BudgetError):
         count_points(g, 5, budget=10)
     assert estimated_work(g, 5) == 3 * 25
+
+
+def test_verify_checks_budget_before_the_class(monkeypatch):
+    def no_class(g):
+        raise AssertionError("class computed before the budget check")
+
+    monkeypatch.setattr(pointcount, "class_polynomial", no_class)
+    with pytest.raises(BudgetError, match="estimated work 75 exceeds budget 20"):
+        verify(generate("complete", 3), [2, 5], budget=20)
+    with pytest.raises(ValueError, match="prime 17 exceeds the bound 13"):
+        verify(generate("complete", 3), [2, 17])
+
+
+def count_from_definition(g: LooseGraph, p: int) -> int:
+    """Points of P^(N-1)(F_p), first nonzero coordinate 1, whose support
+    contains a vertex v and lies in v's closed star and phantoms, or is a
+    free edge's coordinate pair."""
+    coords = ambient_space(g).coordinates
+    bit = {c: 1 << i for i, c in enumerate(coords)}
+    adj = g.adjacency()
+    charts = []
+    for v in g.vertices:
+        star = [v, *adj[v], *(f"{v}#loose{i}" for i in range(g.loose_count(v)))]
+        charts.append((bit[v], sum(bit[c] for c in star)))
+    free_pairs = {bit[f"#free{j}a"] | bit[f"#free{j}b"] for j in range(g.free)}
+    count = 0
+    for x in product(range(p), repeat=len(coords)):
+        lead = next((xi for xi in x if xi), 0)
+        if lead != 1:
+            continue
+        support = sum(1 << i for i, xi in enumerate(x) if xi)
+        if support in free_pairs or any(support & vbit and not support & ~star for vbit, star in charts):
+            count += 1
+    return count
+
+
+@given(loose_graphs(max_vertices=4), st.sampled_from([2, 3, 5]), st.sampled_from([1, 4, pointcount.TABLE_CAP]))
+def test_count_matches_definition(g, p, cap):
+    assume(p ** len(ambient_space(g).coordinates) <= 2 * 10**5)
+    # small caps move directions from the table into the offsets
+    with patch.object(pointcount, "TABLE_CAP", cap):
+        assert count_points(g, p) == count_from_definition(g, p)
 
 
 def test_verify_k5():

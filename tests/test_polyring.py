@@ -91,6 +91,21 @@ def test_ring_laws(a, b):
     assert p * (q + Poly.one()) == p * q + p
 
 
+@given(
+    st.one_of(
+        coeff_lists.map(Poly),
+        st.builds(Poly.monomial, st.integers(0, 6), st.integers(-50, 50)),
+        st.just(Poly.zero()),
+    ),
+    st.integers(0, 6),
+)
+def test_pow_is_repeated_multiplication(p, n):
+    expected = Poly.one()
+    for _ in range(n):
+        expected = expected * p
+    assert p**n == expected
+
+
 def test_divmod_exact():
     p = (L**2 - 1) * (3 * L + 2) + 5
     q, r = divmod_exact(p, L**2 - 1)
