@@ -25,7 +25,7 @@ from .loosegraph import (
     parse,
     serialize,
 )
-from .pointcount import DEFAULT_BUDGET, count_points, is_prime, verify
+from .pointcount import DEFAULT_BUDGET, PRIMALITY_LIMIT, count_points, is_prime, verify
 from .polyring import ExactDivisionError, Poly, format_poly
 from .zeta import f1_zeta, format_zeta
 
@@ -33,6 +33,11 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
+
+BUDGET_HELP = (
+    "most chart keys one count may generate (default %(default)s); it bounds keys, "
+    "not memory: each key held costs about 100 B of RSS, so the default allows about 1 GB"
+)
 
 
 class UsageError(Exception):
@@ -60,6 +65,12 @@ def _check_budget(budget: int) -> int:
     return budget
 
 
+def _check_prime(what: str, q: int) -> None:
+    # larger q get count_points()'s bound message, with no primality test
+    if q < PRIMALITY_LIMIT and not is_prime(q):
+        raise UsageError(f"{what} {q} is not prime")
+
+
 def _parse_primes(spec: str) -> list[int]:
     try:
         primes = [int(s) for s in spec.split(",") if s.strip()]
@@ -68,8 +79,7 @@ def _parse_primes(spec: str) -> list[int]:
     if not primes:
         raise UsageError("empty --primes list")
     for q in primes:
-        if not is_prime(q):
-            raise UsageError(f"--primes entry {q} is not prime")
+        _check_prime("--primes entry", q)
     return primes
 
 
@@ -99,10 +109,10 @@ def _build_parser() -> argparse.ArgumentParser:
     graph_command("ihara", "print the inverse Ihara zeta polynomial")
     pc = graph_command("count", "brute-force point count over a prime field")
     pc.add_argument("--q", type=int, required=True, metavar="PRIME")
-    pc.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    pc.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
     pv = graph_command("verify", "compare the class against brute-force counts")
     pv.add_argument("--primes", default="2,3,5", metavar="LIST")
-    pv.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    pv.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
     graph_command("trace", "print the surgery table down from a loose spanning tree")
     graph_command("compare", "print class, zeta inverse and Ihara inverse side by side")
 
@@ -131,8 +141,7 @@ def _cmd_ihara(g: LooseGraph, as_json: bool) -> int:
 
 
 def _cmd_count(g: LooseGraph, q: int, budget: int, as_json: bool) -> int:
-    if not is_prime(q):
-        raise UsageError(f"--q {q} is not prime")
+    _check_prime("--q", q)
     n = count_points(g, q, budget=budget)
     _emit({"prime": q, "count": n}, str(n), as_json)
     return EXIT_OK

@@ -64,9 +64,8 @@ def tree_class(t: LooseGraph) -> Poly:
         raise LooseGraphError(
             "tree_class(): not a loose tree (empty, disconnected, has a cycle or has free edges)"
         )
-    adj = t.adjacency()
-    lm = t.loose_map()
-    return _tree_form([len(adj[v]) + lm.get(v, 0) for v in t.vertices])
+    nbrs, lm = t._neighbor_map, t._loose_counts
+    return _tree_form([len(nbrs[v]) + lm.get(v, 0) for v in t.vertices])
 
 
 def _tree_form(degrees: list[int]) -> Poly:
@@ -231,8 +230,8 @@ def canonical_key(g: LooseGraph) -> tuple:
     different labels may get different keys; identical keys always mean
     equal classes, which is all correctness needs.
     """
-    adj = g.adjacency()
-    lm = g.loose_map()
+    adj = g._neighbor_map
+    lm = g._loose_counts
     color: dict[str, object] = {v: (len(adj[v]), lm.get(v, 0)) for v in g.vertices}
     for _ in range(2):
         color = {v: (color[v], tuple(sorted(color[u] for u in adj[v]))) for v in g.vertices}

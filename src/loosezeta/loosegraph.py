@@ -3,14 +3,17 @@
 A loose graph is an undirected loopless graph whose edges may have two,
 one ("loose edge") or zero ("free edge") endpoints.  Loose edges are
 interchangeable and stored as per-vertex counts; free edges as a single
-count.  All values are immutable; every operation returns a new graph.
+count.  All values are immutable; every operation returns a new graph.  A
+graph derives its neighbor map and loose counts once, on first use.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
 from random import Random
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
@@ -117,30 +120,39 @@ class LooseGraph:
     def edge_set(self) -> frozenset[tuple[str, str]]:
         return frozenset(self.edges)
 
-    def loose_map(self) -> dict[str, int]:
-        return dict(self.loose)
-
-    def adjacency(self) -> dict[str, list[str]]:
-        """Neighbor lists in sorted order."""
+    @cached_property
+    def _neighbor_map(self) -> dict[str, tuple[str, ...]]:
+        """Sorted neighbor tuples, derived once on first use; never mutated."""
         adj: dict[str, list[str]] = {v: [] for v in self.vertices}
         for a, b in self.edges:
             adj[a].append(b)
             adj[b].append(a)
-        for v in adj:
-            adj[v].sort()
-        return adj
+        return {v: tuple(sorted(ns)) for v, ns in adj.items()}
+
+    @cached_property
+    def _loose_counts(self) -> dict[str, int]:
+        """Loose-edge count per vertex that has any; never mutated."""
+        return dict(self.loose)
+
+    def loose_map(self) -> dict[str, int]:
+        return dict(self._loose_counts)
+
+    def adjacency(self) -> dict[str, list[str]]:
+        """Neighbor lists in sorted order."""
+        return {v: list(ns) for v, ns in self._neighbor_map.items()}
 
     def neighbors(self, v: str) -> tuple[str, ...]:
-        if v not in self.vertex_set():
-            raise LooseGraphError(f"no vertex {v!r}")
-        return tuple(sorted(b if a == v else a for a, b in self.edges if v in (a, b)))
+        try:
+            return self._neighbor_map[v]
+        except KeyError:
+            raise LooseGraphError(f"no vertex {v!r}") from None
 
     def graph_degree(self, v: str) -> int:
         """Number of incident 2-vertex edges."""
         return len(self.neighbors(v))
 
     def loose_count(self, v: str) -> int:
-        return self.loose_map().get(v, 0)
+        return self._loose_counts.get(v, 0)
 
     def degree(self, v: str) -> int:
         """Full degree: 2-vertex edges plus loose edges at v."""
@@ -257,7 +269,7 @@ def generate(family: str, *params: int) -> LooseGraph:
         if n < 1:
             raise GenerateError("complete needs n >= 1")
         vs = _labels(n)
-        return LooseGraph.build(vs, [(a, b) for i, a in enumerate(vs) for b in vs[i + 1 :]])
+        return LooseGraph.build(vs, list(combinations(vs, 2)))
     if family == "projective":
         need(1)
         (n,) = params
@@ -299,29 +311,15 @@ def generate(family: str, *params: int) -> LooseGraph:
         n, k = params
         if not 1 <= k <= n:
             raise GenerateError("johnson needs 1 <= k <= n")
-        subsets = []
-        for mask in range(1 << n):
-            bits = [i + 1 for i in range(n) if mask >> i & 1]
-            if len(bits) == k:
-                subsets.append(tuple(bits))
-        subsets.sort()
+        subsets = list(combinations(range(1, n + 1), k))
         label = {s: "s" + "".join(map(str, s)) for s in subsets}
-        edges = [
-            (label[a], label[b])
-            for i, a in enumerate(subsets)
-            for b in subsets[i + 1 :]
-            if len(set(a) & set(b)) == k - 1
-        ]
+        pairs = combinations(subsets, 2)
+        edges = [(label[a], label[b]) for a, b in pairs if len(set(a) & set(b)) == k - 1]
         return LooseGraph.build([label[s] for s in subsets], edges)
     if family == "hexahedron":
         need(0)
         vs = [format(i, "03b") for i in range(8)]
-        edges = [
-            (a, b)
-            for i, a in enumerate(vs)
-            for b in vs[i + 1 :]
-            if sum(x != y for x, y in zip(a, b)) == 1
-        ]
+        edges = [(a, b) for a, b in combinations(vs, 2) if sum(x != y for x, y in zip(a, b)) == 1]
         return LooseGraph.build(vs, edges)
     raise GenerateError(f"unknown family {family!r}")
 
@@ -371,7 +369,7 @@ def resolve(g: LooseGraph, edge: tuple[str, str]) -> LooseGraph:
     e = _norm_edge(a, b)
     if e not in g.edge_set():
         raise LooseGraphError(f"resolve(): {a!r}-{b!r} is not a 2-vertex edge of the graph")
-    lm = g.loose_map()
+    lm = dict(g.loose)
     lm[a] = lm.get(a, 0) + 1
     lm[b] = lm.get(b, 0) + 1
     return LooseGraph.build(g.vertices, [f for f in g.edges if f != e], lm, g.free)
@@ -398,22 +396,18 @@ def _components(adj: Mapping[str, Iterable[str]], vertices: Iterable[str]) -> li
 
 def _adjacency_sets(g: LooseGraph) -> dict[str, set[str]]:
     """Mutable neighbor sets, the working state of the surgery loop."""
-    adj: dict[str, set[str]] = {v: set() for v in g.vertices}
-    for a, b in g.edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    return adj
+    return {v: set(ns) for v, ns in g._neighbor_map.items()}
 
 
 def connected_components(g: LooseGraph) -> list[LooseGraph]:
     """Partition into connected pieces; each free edge is its own component."""
-    comps = [induced(g, part) for part in _components(g.adjacency(), g.vertices)]
+    comps = [induced(g, part) for part in _components(g._neighbor_map, g.vertices)]
     comps.extend(LooseGraph.build((), (), (), 1) for _ in range(g.free))
     return comps
 
 
 def is_connected(g: LooseGraph) -> bool:
-    return len(_components(g.adjacency(), g.vertices)) + g.free == 1
+    return len(_components(g._neighbor_map, g.vertices)) + g.free == 1
 
 
 def is_loose_tree(g: LooseGraph) -> bool:
@@ -436,16 +430,10 @@ class TreeProfile:
 def tree_profile(t: LooseGraph) -> TreeProfile:
     if not is_loose_tree(t):
         raise LooseGraphError("tree_profile() needs a connected loose tree")
-    counts: dict[int, int] = {}
-    endpoints = 0
-    for v in t.vertices:
-        d = t.degree(v)
-        if d == 1:
-            endpoints += 1
-        elif d > 1:
-            counts[d] = counts.get(d, 0) + 1
+    degrees = [t.degree(v) for v in t.vertices]
+    counts = Counter(d for d in degrees if d > 1)
     inner = sum(counts.values())
-    return TreeProfile(tuple(sorted(counts.items())), inner - 1, endpoints)
+    return TreeProfile(tuple(sorted(counts.items())), inner - 1, degrees.count(1))
 
 
 def _bfs_tree(
@@ -491,8 +479,8 @@ def spanning_tree(
         raise LooseGraphError("spanning_tree(): empty input")
     if not is_connected(g):
         raise LooseGraphError("spanning_tree(): disconnected input")
-    tree_edges, fundamental = _bfs_tree(g.adjacency(), g.vertices, rng)
-    tree = LooseGraph.build(g.vertices, sorted(tree_edges), g.loose_map(), g.free)
+    tree_edges, fundamental = _bfs_tree(g._neighbor_map, g.vertices, rng)
+    tree = LooseGraph.build(g.vertices, sorted(tree_edges), g.loose, g.free)
     return tree, tuple(fundamental)
 
 
@@ -503,12 +491,10 @@ def cone(base: LooseGraph, vertex_part: LooseGraph) -> LooseGraph:
     if overlap:
         raise LooseGraphError(f"cone(): overlapping labels {sorted(overlap)}")
     join = [(a, b) for a in base.vertices for b in vertex_part.vertices]
-    lm = base.loose_map()
-    lm.update(vertex_part.loose_map())
     return LooseGraph.build(
-        list(base.vertices) + list(vertex_part.vertices),
+        base.vertices + vertex_part.vertices,
         list(base.edges) + list(vertex_part.edges) + join,
-        lm,
+        base.loose + vertex_part.loose,
         base.free + vertex_part.free,
     )
 
@@ -563,7 +549,7 @@ def _cone_view(view: LooseGraph, tips: list[str]) -> LooseGraph:
     edges = list(view.edges) + [(t, v) for t in tips for v in base_vertices]
     if len(tips) == 2:
         edges.append((tips[0], tips[1]))
-    return LooseGraph.build(sorted(base_vertices + tips), edges, view.loose_map())
+    return LooseGraph.build(sorted(base_vertices + tips), edges, view.loose)
 
 
 _Charts = dict[str, frozenset[str]]

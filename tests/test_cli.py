@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import time
 
 import pytest
 
@@ -100,6 +101,29 @@ def test_verify_exit_codes(capsys, monkeypatch):
     code, out, _ = run(capsys, ["verify"], stdin=K4_STAR_LG)
     assert code == 3
     assert "FAIL" in out
+
+
+BIG_PRIME = 1000000000000000003
+SEMIPRIME = (10**9 + 7) * (10**9 + 9)
+
+
+def test_large_q_is_answered_quickly(capsys):
+    bound_line = f"error: count_points(): prime {BIG_PRIME} exceeds the bound 13\n"
+    cases = [
+        (["count", "--q", str(BIG_PRIME)], 1, bound_line),
+        (["verify", "--primes", f"2,{BIG_PRIME}"], 1, bound_line),
+        (["count", "--q", str(SEMIPRIME)], 2, f"error: --q {SEMIPRIME} is not prime\n"),
+        (
+            ["verify", "--primes", f"2,{SEMIPRIME}"],
+            2,
+            f"error: --primes entry {SEMIPRIME} is not prime\n",
+        ),
+    ]
+    for argv, want_code, want_err in cases:
+        start = time.monotonic()
+        code, out, err = run(capsys, argv, stdin="vertex a\n")
+        assert time.monotonic() - start < 2.0, argv
+        assert (code, out, err) == (want_code, "", want_err), argv
 
 
 def test_verify_bad_primes_list(capsys):

@@ -28,6 +28,23 @@ from loosezeta.pointcount import BudgetError, estimated_work, is_prime
 def test_is_prime():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
 
+    def by_trial_division(n):
+        return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert all(is_prime(n) == by_trial_division(n) for n in range(-3, 20_000))
+    # the least strong pseudoprimes to the first 8, 11 and 12 prime bases
+    for n in (341550071728321, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    assert is_prime(2**61 - 1) and is_prime(2**89 - 1) and is_prime(10**18 + 3)
+    assert not is_prime((10**9 + 7) * (10**9 + 9))
+
+
+def test_q_past_the_primality_limit_is_refused_by_the_bound():
+    g = parse("vertex a\n")
+    for q in (pointcount.PRIMALITY_LIMIT, pointcount.PRIMALITY_LIMIT + 1, 10**30):
+        with pytest.raises(ValueError, match=f"prime {q} exceeds the bound 13"):
+            count_points(g, q)
+
 
 def test_count_projective_line():
     assert count_points(parse("edge a b\n"), 5) == 6

@@ -16,13 +16,18 @@ import pytest
 
 import loosezeta
 from loosezeta import (
+    IharaDomainError,
     LooseGraph,
     class_polynomial,
     count_points,
     format_poly,
+    generate,
+    ihara_inverse,
     serialize,
     surgery_trace,
+    tree_profile,
 )
+from loosezeta.cli import main
 
 DEFAULT_RECURSION_LIMIT = 1000
 
@@ -78,20 +83,58 @@ def test_grid_trace_agrees_with_class(n):
     assert trace.result_class == p
 
 
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    src = str(Path(loosezeta.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "loosezeta", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
 def test_cli_class_on_grid_20(tmp_path):
     g = grid(20, 20)
     path = tmp_path / "grid20.lg"
     path.write_text(serialize(g))
-    src = str(Path(loosezeta.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     with within(60.0):
-        proc = subprocess.run(
-            [sys.executable, "-m", "loosezeta", "class", str(path)],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
+        proc = run_cli("class", str(path))
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout.strip() == format_poly(class_polynomial(g), "L")
+
+
+# Degree queries read one neighbor map per graph, so every refusal and
+# validation below is one pass over the graph, not one pass per vertex.
+
+
+@pytest.mark.parametrize("command", [["count", "--q", "2"], ["verify", "--primes", "2"]])
+def test_cli_budget_refusal_on_grid_80(tmp_path, command):
+    path = tmp_path / "grid80.lg"
+    path.write_text(serialize(grid(80, 80)))
+    with within(3.0):
+        proc = run_cli(*command, "--budget", "10", str(path))
+    assert proc.returncode == 1
+    assert proc.stderr == "error: count_points(): estimated work 99856 exceeds budget 10\n"
+
+
+def test_tree_profile_on_long_path():
+    path = generate("path", 3000)
+    with within(0.5):
+        profile = tree_profile(path)
+    assert profile.degree_counts == ((2, 2998),) and profile.endpoints == 2
+
+
+def test_ihara_refuses_long_cycle_with_pendant_quickly():
+    vs = [f"c{i}" for i in range(3000)]
+    g = LooseGraph.build(vs + ["p"], [(vs[i], vs[i - 1]) for i in range(3000)] + [(vs[0], "p")])
+    with within(0.5), pytest.raises(IharaDomainError, match="degree 1"):
+        ihara_inverse(g)
+
+
+def test_gen_johnson_40_1(capsys):
+    with within(1.0):
+        assert main(["gen", "johnson", "40", "1"]) == 0
+    assert capsys.readouterr().out.count("vertex ") == 40
