@@ -400,8 +400,18 @@ def _adjacency_sets(g: LooseGraph) -> dict[str, set[str]]:
 
 
 def connected_components(g: LooseGraph) -> list[LooseGraph]:
-    """Partition into connected pieces; each free edge is its own component."""
-    comps = [induced(g, part) for part in _components(g._neighbor_map, g.vertices)]
+    """Partition into connected pieces, in one pass over the graph; each free
+    edge is its own component.  A piece keeps the graph's vertex order."""
+    parts = _components(g._neighbor_map, g.vertices)
+    label = {v: i for i, part in enumerate(parts) for v in part}
+    pieces: list[tuple[list, list, list]] = [([], [], []) for _ in parts]
+    for v in g.vertices:
+        pieces[label[v]][0].append(v)
+    for a, b in g.edges:
+        pieces[label[a]][1].append((a, b))
+    for v, k in g.loose:
+        pieces[label[v]][2].append((v, k))
+    comps = [LooseGraph.build(*piece) for piece in pieces]
     comps.extend(LooseGraph.build((), (), (), 1) for _ in range(g.free))
     return comps
 

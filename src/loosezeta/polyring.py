@@ -7,18 +7,28 @@ empty coefficient tuple.  No floating point is used anywhere.
 The same representation serves three roles in this package: classes in
 the Lefschetz variable L, inverse Ihara zeta functions in u, and
 counting polynomials evaluated at prime powers q.  The variable symbol
-only matters when formatting.  Determinants of polynomial matrices are
-taken by integer Bareiss elimination at integer points, followed by
-exact Newton interpolation.
+only matters when formatting.
+
+Determinants of polynomial matrices come from one modular kernel.  On
+|z| = 1 each |M_ij(z)| <= |M_ij|_1, so by Hadamard's inequality and
+Cauchy's coefficient bound every coefficient of det M is at most H, where
+H^2 = prod_i sum_j |M_ij|_1^2.  With rows and columns in one reverse
+Cuthill-McKee order, det M(x) is eliminated at x = 0..D (D the degree
+bound) modulo Mersenne primes whose product P exceeds 2H; CRT, Newton
+interpolation and the lift to (-P/2, P/2) are then exact.  The value at
+x = D + 1 under an independent prime checks the result.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
+from math import prod
+from operator import mul
 from typing import Iterable, Sequence
 
 
 class ExactDivisionError(ArithmeticError):
-    """A division that must be exact left a remainder (implementation bug)."""
+    """An exact division left a remainder or a determinant failed its check (a bug)."""
 
 
 class Poly:
@@ -267,59 +277,118 @@ class PolyMatrix:
         one, zero = Poly.one(), Poly.zero()
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
-    def evaluate(self, x: int) -> list[list[int]]:
-        return [[e.evaluate(x) for e in row] for row in self.entries]
-
     def det(self) -> Poly:
-        """Exact determinant, of degree at most D = sum over rows of the largest
-        entry degree.  The matrix is evaluated at D + 1 consecutive integers
-        centred on 0, one at a time; integer Bareiss elimination gives each
-        value and exact Newton interpolation the coefficients.  Every
-        division is checked: a remainder raises ExactDivisionError."""
+        """Exact determinant by the modular kernel of the module docstring;
+        raises ExactDivisionError if the check node disagrees."""
         if self.n == 0:
             return Poly.one()
-        nodes = max(sum(max(e.degree for e in row) for row in self.entries), 0) + 1
-        x0 = -(nodes // 2)
-        dd = [_bareiss(self.evaluate(x0 + i)) for i in range(nodes)]
-        # divided differences on unit-spaced nodes: forward differences / k!
-        for k in range(1, nodes):
-            for i in range(nodes - 1, k - 1, -1):
-                dd[i], r = divmod(dd[i] - dd[i - 1], k)
-                if r:
-                    raise ExactDivisionError(f"divided difference not divisible by {k}")
-        coeffs = [dd[-1]]
-        for k in range(nodes - 2, -1, -1):  # Horner in the Newton basis
-            root = x0 + k
-            shifted = [low - root * high for low, high in zip(coeffs, coeffs[1:])]
-            coeffs = [dd[k] - root * coeffs[0], *shifted, coeffs[-1]]
-        return Poly(coeffs)
+        h2 = _bound_squared(self)
+        if not h2:  # a zero row
+            return Poly.zero()
+        order = _rcm_order(self)
+        where = {old: new for new, old in enumerate(order)}
+        rows = [sorted((where[j], e) for j, e in enumerate(self.entries[i]) if e) for i in order]
+        nodes = sum(max(e.degree for _, e in row) for row in rows) + 1
+        values, product = [0] * nodes, 1
+        for p in _moduli(h2):  # CRT, one prime at a time
+            inv = pow(product, -1, p)
+            residues = [_det_mod(rows, x, p) for x in range(nodes)]
+            values = [v + product * ((r - v) * inv % p) for v, r in zip(values, residues)]
+            product *= p
+        coeffs = _interpolate(values, product)
+        result = Poly([c - product if 2 * c > product else c for c in coeffs])
+        q = _CHECK_MODULUS
+        if (result.evaluate(nodes) - _det_mod(rows, nodes, q)) % q:
+            raise ExactDivisionError(f"determinant disagrees with its check node modulo {q}")
+        return result
 
 
-def _bareiss(a: list[list[int]]) -> int:
-    """Fraction-free (Bareiss 1968) determinant of a square integer matrix;
-    each step drops the pivot row and column, down to a 1x1 matrix."""
-    sign, prev = 1, 1
-    while len(a) > 1:
-        if not a[0][0]:
-            swap = next((i for i, row in enumerate(a) if row[0]), None)
-            if swap is None:
-                return 0
-            a[0], a[swap], sign = a[swap], a[0], -sign
-        (pivot, *top), rest = a[0], a[1:]
-        a = []
-        for f, *row in rest:
+#: Mersenne primes 2^e - 1: proven prime, pairwise coprime, and a pass
+#: costs about the same under each of the first four.
+_MODULI = tuple((1 << e) - 1 for e in (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253))
+#: The check node's prime, a Mersenne prime outside the table.
+_CHECK_MODULUS = (1 << 31) - 1
+
+
+def _bound_squared(m: PolyMatrix) -> int:
+    """H^2, where H bounds every coefficient of det M (module docstring)."""
+    return prod(sum(sum(map(abs, e.coeffs)) ** 2 for e in row) for row in m.entries)
+
+
+def _moduli(h2: int) -> list[int]:
+    """Primes with product P > 2H: the first cheap one that does alone, else the
+    shortest prefix of the table (or all of it, which the check then rejects)."""
+    single = [p for p in _MODULI[:4] if p * p > 4 * h2]
+    products = enumerate(accumulate(_MODULI, mul), 1)
+    count = next((k for k, q in products if q * q > 4 * h2), len(_MODULI))
+    return single[:1] or list(_MODULI[:count])
+
+
+def _rcm_order(m: PolyMatrix) -> list[int]:
+    """Reverse Cuthill-McKee order of the symmetrised nonzero pattern:
+    breadth-first from least-degree indices, lower degrees first."""
+    adj = [{j for j, e in enumerate(row) if e} for row in m.entries]
+    for j, col in enumerate(zip(*m.entries)):
+        adj[j] |= {i for i, e in enumerate(col) if e}
+    key = [(len(ns), v) for v, ns in enumerate(adj)]
+    order: list[int] = []
+    seen: set[int] = set()
+    for start in sorted(range(m.n), key=key.__getitem__):
+        if start not in seen:
+            seen.add(start)
+            part = [start]
+            for v in part:  # grows while it is walked
+                fresh = sorted(adj[v] - seen, key=key.__getitem__)
+                seen.update(fresh)
+                part += fresh
+            order += part
+    return order[::-1]
+
+
+def _det_mod(rows: list[list[tuple[int, Poly]]], x: int, p: int) -> int:
+    """det M(x) mod p from sparse rows of (column, entry): partial pivoting within
+    the lower bandwidth, updates up to the pivot row's last nonzero column,
+    and only the pivot row reduced mod p."""
+    n = len(rows)
+    a = [[0] * n for _ in rows]
+    for i, row in enumerate(rows):
+        for j, e in row:
+            a[i][j] = e.evaluate(x)
+    last = [row[-1][0] for row in rows]
+    band = max(i - row[0][0] for i, row in enumerate(rows))
+    det = 1
+    for k in range(n):
+        window = range(k, min(n, k + band + 1))
+        # the pivot row ends first, so no update reaches past a row's own last column
+        piv = min((r for r in window if a[r][k] % p), key=last.__getitem__, default=None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv], last[k], last[piv], det = a[piv], a[k], last[piv], last[k], -det
+        stop = last[k] + 1
+        det = det * a[k][k] % p
+        inv = pow(a[k][k], -1, p)
+        seg = [v % p for v in a[k][k + 1 : stop]]
+        for r in window[1:]:
+            f = a[r][k] * inv % p
             if f:
-                row = [x * pivot - f * y for x, y in zip(row, top)]
-            else:
-                row = [x * pivot for x in row]
-            if prev != 1:
-                qr = [divmod(x, prev) for x in row]
-                if any([r for _, r in qr]):
-                    raise ExactDivisionError(f"Bareiss step not divisible by {prev}")
-                row = [q for q, _ in qr]
-            a.append(row)
-        prev = pivot
-    return sign * a[0][0]
+                a[r][k + 1 : stop] = [u - f * v for u, v in zip(a[r][k + 1 : stop], seg)]
+    return det
+
+
+def _interpolate(values: list[int], modulus: int) -> list[int]:
+    """Coefficients mod ``modulus`` of the polynomial taking values[x] at x = 0, 1, ...:
+    divided differences on unit-spaced nodes, then Horner in the Newton basis."""
+    dd = list(values)
+    for k in range(1, len(dd)):
+        inv = pow(k, -1, modulus)
+        for i in range(len(dd) - 1, k - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) * inv % modulus
+    coeffs = [dd[-1]]
+    for k in range(len(dd) - 2, -1, -1):
+        shifted = [(low - k * high) % modulus for low, high in zip(coeffs, coeffs[1:])]
+        coeffs = [(dd[k] - k * coeffs[0]) % modulus, *shifted, coeffs[-1]]
+    return coeffs
 
 
 def det(m: PolyMatrix) -> Poly:

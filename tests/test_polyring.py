@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 from fractions import Fraction
 from random import Random
 
@@ -10,11 +11,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import IHARA_COEFFS
+from loosezeta import polyring
+from loosezeta.cli import main
 from loosezeta.polyring import (
     ExactDivisionError,
     L,
     Poly,
     PolyMatrix,
+    _bound_squared,
+    _moduli,
     divmod_exact,
     exact_div,
     format_poly,
@@ -145,6 +150,10 @@ def test_det_k4_matrix_reproduces_ihara():
     assert Poly((1, 0, -1)) ** 2 * m.det() == Poly(IHARA_COEFFS["K4"])
 
 
+def _evaluate(m: PolyMatrix, x: int) -> list[list[int]]:
+    return [[e.evaluate(x) for e in row] for row in m.entries]
+
+
 def _fraction_det(rows: list[list[int]]) -> int:
     """Independent integer determinant via Gaussian elimination over Q."""
     n = len(rows)
@@ -189,7 +198,7 @@ def _det_by_interpolation(m: PolyMatrix) -> Poly:
     An all-zero row counts as degree 0 in the bound."""
     bound = sum(max([0, *(e.degree for e in row)]) for row in m.entries) + 1
     xs = list(range(bound + 1))
-    ys = [_fraction_det(m.evaluate(x)) for x in xs]
+    ys = [_fraction_det(_evaluate(m, x)) for x in xs]
     coeffs = _newton_interpolation(xs, ys)
     assert all(c.denominator == 1 for c in coeffs)
     return Poly([c.numerator for c in coeffs])
@@ -229,7 +238,7 @@ def test_det_commutes_with_evaluation():
         d = m.det()
         for _ in range(3):
             x = rng.randint(-6, 6)
-            assert d.evaluate(x) == _fraction_det(m.evaluate(x))
+            assert d.evaluate(x) == _fraction_det(_evaluate(m, x))
 
 
 def test_det_edge_cases():
@@ -261,4 +270,87 @@ def test_det_matches_fraction_oracles(m, points):
     d = m.det()
     assert d == _det_by_interpolation(m)
     for x in points:
-        assert d.evaluate(x) == _fraction_det(m.evaluate(x))
+        assert d.evaluate(x) == _fraction_det(_evaluate(m, x))
+
+
+# -- the modular kernel --------------------------------------------------------
+
+
+@st.composite
+def wide_matrices(draw) -> PolyMatrix:
+    """Matrices up to 4x4 with coefficients up to 10^12."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    coeff = st.one_of(st.integers(-9, 9), st.integers(-(10**12), 10**12))
+    entry = st.lists(coeff, max_size=3).map(Poly)
+    row = st.lists(entry, min_size=n, max_size=n)
+    return PolyMatrix(draw(st.lists(row, min_size=n, max_size=n)))
+
+
+@given(st.one_of(poly_matrices(), wide_matrices()))
+def test_det_coefficients_stay_within_the_kernel_bound(m):
+    h2 = _bound_squared(m)
+    assert all(c * c <= h2 for c in m.det().coeffs)
+
+
+def test_det_is_exact_where_the_bound_is_tight():
+    # a diagonal matrix of constants meets Hadamard's bound: H = |det|
+    for prime in polyring._MODULI[:4]:
+        for c in (prime // 2 - 1, prime // 2 + 1, prime - 2, prime + 2):
+            for sign in (1, -1):
+                assert PolyMatrix([[sign * c]]).det() == Poly.const(sign * c)
+                diagonal = PolyMatrix([[c, 0], [0, -3 * sign]])
+                assert diagonal.det() == Poly.const(-3 * sign * c)
+
+
+def _random_ihara_matrix(rng: Random, n: int) -> PolyMatrix:
+    adjacency = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            if rng.random() < 0.4:
+                adjacency[i][j] = adjacency[j][i] = 1
+    return _bass_hashimoto_matrix(adjacency, [max(sum(row), 1) for row in adjacency])
+
+
+def test_det_is_invariant_under_symmetric_relabelling():
+    rng = Random(11)
+    for _ in range(20):
+        m = _random_ihara_matrix(rng, rng.randint(1, 12))
+        perm = list(range(m.n))
+        rng.shuffle(perm)
+        relabelled = PolyMatrix([[m.entries[i][j] for j in perm] for i in perm])
+        assert relabelled.det() == m.det()
+
+
+def _huge_matrix(rng: Random, n: int) -> PolyMatrix:
+    def entry() -> Poly:
+        return Poly([rng.randint(-(10**30), 10**30) for _ in range(3)])
+
+    return PolyMatrix([[entry() for _ in range(n)] for _ in range(n)])
+
+
+def test_det_with_huge_entries_takes_the_crt_path():
+    rng = Random(30)
+    for n in (2, 3, 4):
+        m = _huge_matrix(rng, n)
+        assert len(_moduli(_bound_squared(m))) > 1
+        d = m.det()
+        assert d == _det_by_interpolation(m)
+        for x in (-3, 5):
+            assert d.evaluate(x) == _fraction_det(_evaluate(m, x))
+
+
+def test_too_small_modulus_is_caught_by_the_check_node(monkeypatch, capsys):
+    m = _huge_matrix(Random(4), 4)
+    monkeypatch.setattr(polyring, "_MODULI", (8191,))
+    assert 8191**2 < 4 * _bound_squared(m)
+    with pytest.raises(ExactDivisionError, match="check node"):
+        m.det()
+    # K4's vertex matrix has H = 144, so a single prime 31 < 2H lifts wrongly
+    monkeypatch.setattr(polyring, "_MODULI", (31,))
+    k4 = "".join(f"edge {a} {b}\n" for a, b in ["ab", "ac", "ad", "bc", "bd", "cd"])
+    monkeypatch.setattr("sys.stdin", io.StringIO(k4))
+    assert main(["ihara", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal arithmetic error: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err

@@ -19,7 +19,9 @@ from loosezeta import (
     IharaDomainError,
     LooseGraph,
     class_polynomial,
+    connected_components,
     count_points,
+    edge_matrix_inverse,
     format_poly,
     generate,
     ihara_inverse,
@@ -138,3 +140,30 @@ def test_gen_johnson_40_1(capsys):
     with within(1.0):
         assert main(["gen", "johnson", "40", "1"]) == 0
     assert capsys.readouterr().out.count("vertex ") == 40
+
+
+def test_connected_components_of_many_pieces():
+    vs = [f"v{i}" for i in range(4000)]
+    g = LooseGraph.build(vs, [(vs[i], vs[i + 1]) for i in range(0, 4000, 2)], {"v7": 2})
+    with within(0.3):
+        comps = connected_components(g)
+    assert len(comps) == 2000
+    assert comps[3] == LooseGraph.build(["v6", "v7"], [("v6", "v7")], {"v7": 2})
+
+
+# The determinant kernel: both Ihara routes on grids whose matrices are
+# banded once put in reverse Cuthill-McKee order.
+
+
+def test_ihara_vertex_route_on_grid_8():
+    g = grid(8, 8)
+    with within(2.5):
+        p = ihara_inverse(g)
+    assert p.degree == 2 * g.n_edges and p.coefficient(0) == 1
+
+
+def test_ihara_edge_route_on_grid_6_matches_vertex_route():
+    g = grid(6, 6)
+    with within(4.0):
+        p = edge_matrix_inverse(g)
+    assert p == ihara_inverse(g)
