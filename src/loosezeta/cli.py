@@ -164,33 +164,34 @@ def _cmd_verify(g: LooseGraph, primes: list[int], budget: int, as_json: bool) ->
 
 def _cmd_trace(g: LooseGraph, as_json: bool) -> int:
     trace = surgery_trace(g)
-    rows = [
-        {
-            "graph": serialize(trace.final_tree),
-            "resolvedEdge": None,
-            "delta": None,
-            "running": trace.final_tree_class.to_json(),
-        }
-    ]
-    lines = [f"tree: class = {format_poly(trace.final_tree_class, 'L')}"]
-    for i, step in enumerate(trace.steps, start=1):
-        rows.append(
+    if as_json:
+        rows = [
+            {
+                "graph": serialize(trace.final_tree),
+                "resolvedEdge": None,
+                "delta": None,
+                "running": trace.final_tree_class.to_json(),
+            }
+        ]
+        rows.extend(
             {
                 "graph": serialize(step.graph_before),
                 "resolvedEdge": list(step.resolved_edge),
                 "delta": step.delta.to_json(),
                 "running": step.running_class.to_json(),
             }
+            for step in trace.steps
         )
+        print(json.dumps(rows))
+        return EXIT_OK
+    lines = [f"tree: class = {format_poly(trace.final_tree_class, 'L')}"]
+    for i, step in enumerate(trace.steps, start=1):
         a, b = step.resolved_edge
         lines.append(
             f"step {i}: edge {a}~{b}  delta = {format_poly(step.delta, 'L')}  "
             f"class = {format_poly(step.running_class, 'L')}"
         )
-    if as_json:
-        print(json.dumps(rows))
-    else:
-        print("\n".join(lines))
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from random import Random
-from typing import AbstractSet, Mapping
+from typing import AbstractSet, Iterable, Mapping
 
 from .loosegraph import (
     LooseGraph,
@@ -37,11 +37,8 @@ from .loosegraph import (
     _bfs_tree,
     _components,
     _edge_charts,
-    _norm_edge,
-    induced,
     is_connected,
     is_loose_tree,
-    reduce,
     resolve,
     spanning_tree,
 )
@@ -91,24 +88,6 @@ def star_class(n: int, k: int) -> Poly:
     return L**n + k
 
 
-def cone_class(g1: LooseGraph, g2: LooseGraph) -> Poly:
-    """Class of the cone joining every vertex of g1 to every vertex of g2.
-
-    Computed from the classes of the reduced parts plus one degree
-    correction per vertex carrying loose edges; collapses to the plain
-    product formula when both parts are graphs.
-    """
-    if g1.free or g2.free:
-        raise LooseGraphError("cone_class(): parts must not have free edges")
-    overlap = g1.vertex_set() & g2.vertex_set()
-    if overlap:
-        raise LooseGraphError(f"cone_class(): overlapping labels {sorted(overlap)}")
-    m1, m2 = g1.n_vertices, g2.n_vertices
-    (r1, corr1), (r2, corr2) = reduce(g1), reduce(g2)
-    p1, p2 = class_polynomial(r1), class_polynomial(r2)
-    return p1 * L**m2 + p2 * L**m1 - p1 * p2 * (L - 1) + L**m2 * corr1 + L**m1 * corr2
-
-
 # ---------------------------------------------------------------------------
 # Embedded chart classes
 # ---------------------------------------------------------------------------
@@ -141,11 +120,11 @@ def chart_class(charts: Mapping[str, AbstractSet[str]]) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# Resolution differences and local classes
+# Resolution differences
 # ---------------------------------------------------------------------------
 
 
-def _difference(adj: Mapping[str, AbstractSet[str]], x: str, y: str) -> Poly:
+def _difference(adj: Mapping[str, Iterable[str]], x: str, y: str) -> Poly:
     """The resolution difference of the edge xy of the reduced graph held
     in ``adj``; reads the two unit balls of the edge only."""
     gl, glx, gly = _edge_charts(adj, x, y)
@@ -187,30 +166,9 @@ def resolution_difference(g: LooseGraph, edge: tuple[str, str]) -> Poly:
     if not g.is_reduced():
         raise LooseGraphError("resolution_difference(): graph must be reduced first")
     x, y = edge
-    if _norm_edge(x, y) not in g.edge_set():
+    if y not in g._neighbor_map.get(x, ()):
         raise LooseGraphError(f"resolution_difference(): {x!r}-{y!r} is not an edge")
-    return _difference(_adjacency_sets(g), x, y)
-
-
-def _restricted(g: LooseGraph, edge: tuple[str, str]) -> LooseGraph:
-    """Induced subgraph on the union of unit balls around the edge's ends."""
-    x, y = edge
-    keep = {x, y} | set(g.neighbors(x)) | set(g.neighbors(y))
-    return induced(g, keep)
-
-
-def local_before(g: LooseGraph, edge: tuple[str, str]) -> Poly:
-    """Class of g restricted to the projective span of the edge's unit balls."""
-    if not g.is_reduced():
-        raise LooseGraphError("local_before(): graph must be reduced")
-    return class_polynomial(_restricted(g, edge))
-
-
-def local_after(g: LooseGraph, edge: tuple[str, str]) -> Poly:
-    """Class of the same restriction after resolving the edge."""
-    if not g.is_reduced():
-        raise LooseGraphError("local_after(): graph must be reduced")
-    return class_polynomial(resolve(_restricted(g, edge), edge))
+    return _difference(g._neighbor_map, x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from random import Random
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .polyring import L, Poly
 
@@ -494,21 +494,6 @@ def spanning_tree(
     return tree, tuple(fundamental)
 
 
-def cone(base: LooseGraph, vertex_part: LooseGraph) -> LooseGraph:
-    """Join every base vertex to every vertex-part vertex; loose edges of
-    both parts are retained.  Label sets must be disjoint."""
-    overlap = base.vertex_set() & vertex_part.vertex_set()
-    if overlap:
-        raise LooseGraphError(f"cone(): overlapping labels {sorted(overlap)}")
-    join = [(a, b) for a in base.vertices for b in vertex_part.vertices]
-    return LooseGraph.build(
-        base.vertices + vertex_part.vertices,
-        list(base.edges) + list(vertex_part.edges) + join,
-        base.loose + vertex_part.loose,
-        base.free + vertex_part.free,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Edge neighborhoods for surgery
 # ---------------------------------------------------------------------------
@@ -518,29 +503,21 @@ def cone(base: LooseGraph, vertex_part: LooseGraph) -> LooseGraph:
 class NeighborhoodData:
     """The auxiliary loose graphs around an edge xy of a reduced graph.
 
-    ``delta`` is the plain graph induced on the punctured union of unit
-    balls, ``g`` the plain graph on the common neighbors.  ``gl``,
-    ``glx``, ``gly`` are the loose graphs on the common neighbors whose
-    loose edges stand for delta-edges leaving the common-neighbor set
-    (into the whole ball, the x-ball, the y-ball respectively); the
+    ``g`` is the plain graph on the common neighbors.  ``gl``, ``glx``,
+    ``gly`` are the loose graphs on the common neighbors whose loose edges
+    stand for edges leaving the common-neighbor set into the punctured
+    union of unit balls, the x-ball, the y-ball respectively; the
     ``charts_*`` mappings record where each such edge actually points,
-    which the class computations need.  The five cones follow the same
-    naming.  ``components`` partitions the common neighbors into the
-    connected components of ``gl``.
+    which the class computations need.  ``components`` partitions the
+    common neighbors into the connected components of ``gl``.
     """
 
     x: str
     y: str
-    delta: LooseGraph
     g: LooseGraph
     gl: LooseGraph
     glx: LooseGraph
     gly: LooseGraph
-    cone_gl_xy: LooseGraph
-    cone_glx_xy: LooseGraph
-    cone_glx_y: LooseGraph
-    cone_gly_xy: LooseGraph
-    cone_gly_x: LooseGraph
     components: tuple[tuple[str, ...], ...]
     charts_gl: tuple[tuple[str, frozenset[str]], ...]
     charts_glx: tuple[tuple[str, frozenset[str]], ...]
@@ -554,28 +531,20 @@ def _loose_view(common: list[str], charts: dict[str, frozenset[str]]) -> LooseGr
     return LooseGraph.build(sorted(common), edges, loose)
 
 
-def _cone_view(view: LooseGraph, tips: list[str]) -> LooseGraph:
-    base_vertices = list(view.vertices)
-    edges = list(view.edges) + [(t, v) for t in tips for v in base_vertices]
-    if len(tips) == 2:
-        edges.append((tips[0], tips[1]))
-    return LooseGraph.build(sorted(base_vertices + tips), edges, view.loose)
-
-
 _Charts = dict[str, frozenset[str]]
 
 
 def _edge_charts(
-    adj: Mapping[str, AbstractSet[str]], x: str, y: str
+    adj: Mapping[str, Iterable[str]], x: str, y: str
 ) -> tuple[_Charts, _Charts, _Charts]:
     """Charts of the common neighbors of the edge xy, read from the two
-    unit balls only.
+    unit balls only; ``adj`` may hold neighbor sets or tuples.
 
     Returns ``(gl, glx, gly)``: each chart maps a common neighbor to its
     neighbors in the punctured union of the balls, in the x-ball minus y
     and in the y-ball minus x.
     """
-    nx, ny = adj[x], adj[y]
+    nx, ny = set(adj[x]), set(adj[y])
     ball_x = nx - {y}
     ball_y = ny - {x}
     ball = ball_x | ball_y
@@ -585,9 +554,9 @@ def _edge_charts(
     gly: _Charts = {}
     for v in common:
         nv = adj[v]
-        gl[v] = frozenset(nv & ball)
-        glx[v] = frozenset(nv & ball_x)
-        gly[v] = frozenset(nv & ball_y)
+        gl[v] = frozenset(ball.intersection(nv))
+        glx[v] = frozenset(ball_x.intersection(nv))
+        gly[v] = frozenset(ball_y.intersection(nv))
     return gl, glx, gly
 
 
@@ -600,29 +569,20 @@ def neighborhood(g: LooseGraph, edge: tuple[str, str]) -> NeighborhoodData:
     if not g.is_reduced():
         raise LooseGraphError("neighborhood(): graph must be reduced first")
     x, y = edge
-    if _norm_edge(x, y) not in g.edge_set():
+    if y not in g._neighbor_map.get(x, ()):
         raise LooseGraphError(f"neighborhood(): {x!r}-{y!r} is not an edge")
-    adj = _adjacency_sets(g)
-    charts_gl, charts_glx, charts_gly = _edge_charts(adj, x, y)
+    charts_gl, charts_glx, charts_gly = _edge_charts(g._neighbor_map, x, y)
     common = sorted(charts_gl)
     cset = set(common)
-    comps = _components({v: charts_gl[v] & cset for v in common}, common)
-    gl = _loose_view(common, charts_gl)
-    glx = _loose_view(common, charts_glx)
-    gly = _loose_view(common, charts_gly)
+    inner = {v: charts_gl[v] & cset for v in common}
+    comps = _components(inner, common)
     return NeighborhoodData(
         x=x,
         y=y,
-        delta=induced(g, (adj[x] | adj[y]) - {x, y}),
-        g=induced(g, common),
-        gl=gl,
-        glx=glx,
-        gly=gly,
-        cone_gl_xy=_cone_view(gl, [x, y]),
-        cone_glx_xy=_cone_view(glx, [x, y]),
-        cone_glx_y=_cone_view(glx, [y]),
-        cone_gly_xy=_cone_view(gly, [x, y]),
-        cone_gly_x=_cone_view(gly, [x]),
+        g=_loose_view(common, inner),
+        gl=_loose_view(common, charts_gl),
+        glx=_loose_view(common, charts_glx),
+        gly=_loose_view(common, charts_gly),
         components=tuple(tuple(sorted(c)) for c in comps),
         charts_gl=tuple(sorted(charts_gl.items())),
         charts_glx=tuple(sorted(charts_glx.items())),

@@ -25,8 +25,6 @@ from conftest import (
 from loosezeta import (
     LooseGraph,
     class_polynomial,
-    cone,
-    cone_class,
     count_points,
     edge_matrix_inverse,
     f1_zeta,
@@ -43,6 +41,7 @@ from loosezeta import (
 )
 from loosezeta.cli import main as cli_main
 from loosezeta.polyring import L, Poly
+from paper_objects import cone, cone_class
 
 
 def _report(line: str) -> None:

@@ -26,13 +26,9 @@ from loosezeta import (
     LooseGraph,
     LooseGraphError,
     class_polynomial,
-    cone,
-    cone_class,
     connected_components,
     generate,
     induced,
-    local_after,
-    local_before,
     neighborhood,
     parse,
     reduce,
@@ -44,6 +40,7 @@ from loosezeta import (
 )
 from loosezeta.grothendieck import canonical_key, chart_class
 from loosezeta.polyring import L, Poly
+from paper_objects import cone, cone_class, local_after, local_before
 
 
 def gamma_uvm(m: int, a: int = 0, b: int = 0, g_edges=(), resolved: bool = False) -> LooseGraph:

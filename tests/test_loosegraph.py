@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -13,7 +14,6 @@ from loosezeta import (
     LooseGraphError,
     ParseError,
     ambient_space,
-    cone,
     connected_components,
     generate,
     induced,
@@ -28,6 +28,15 @@ from loosezeta import (
     tree_profile,
 )
 from loosezeta.polyring import L, Poly
+from paper_objects import cone
+
+
+def test_readme_format_example_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## The `.lg` format", 1)[1]
+    block = section.split("```\n", 2)[1]
+    g = parse(block, strict=True)
+    assert g == LooseGraph.build(["a", "b"], [("a", "b")], {"a": 1}, 1)
 
 
 def test_parse_p1():
@@ -237,7 +246,8 @@ def test_neighborhood_gamma_uvm():
     assert nd.g.n_vertices == 3 and nd.g.n_edges == 0
     assert nd.gl.n_edges == 0 and nd.gl.n_loose == 0
     # the xy-cone is the original loose graph again
-    assert nd.cone_gl_xy.n_vertices == m + 2 and nd.cone_gl_xy.n_edges == 2 * m + 1
+    cone_gl_xy = cone(nd.gl, LooseGraph.build(["u", "v"], [("u", "v")]))
+    assert cone_gl_xy.n_vertices == m + 2 and cone_gl_xy.n_edges == 2 * m + 1
     assert len(nd.components) == m
 
 
@@ -279,6 +289,7 @@ def test_neighborhood_g_is_subgraph_of_views():
             continue
         e = g.edges[rng.randrange(g.n_edges)]
         nd = neighborhood(g, e)
+        assert nd.g.edge_set() == induced(g, nd.g.vertices).edge_set()
         for view in (nd.gl, nd.glx, nd.gly):
             assert view.vertex_set() == nd.g.vertex_set()
             assert nd.g.edge_set() <= view.edge_set()

@@ -25,11 +25,13 @@ from loosezeta import (
     format_poly,
     generate,
     ihara_inverse,
+    resolution_difference,
     serialize,
     surgery_trace,
     tree_profile,
 )
 from loosezeta.cli import main
+from loosezeta.polyring import L
 
 DEFAULT_RECURSION_LIMIT = 1000
 
@@ -120,6 +122,15 @@ def test_cli_budget_refusal_on_grid_80(tmp_path, command):
         proc = run_cli(*command, "--budget", "10", str(path))
     assert proc.returncode == 1
     assert proc.stderr == "error: count_points(): estimated work 99856 exceeds budget 10\n"
+
+
+def test_resolution_difference_on_every_edge_of_grid_40():
+    # Delta reads the two unit balls of its edge, not a copy of the graph:
+    # an O(V+E) pass per edge takes seconds here
+    g = grid(40, 40)
+    with within(0.3):
+        deltas = {resolution_difference(g, e) for e in g.edges}
+    assert deltas == {L - 1}  # no grid edge has a common neighbor
 
 
 def test_tree_profile_on_long_path():
