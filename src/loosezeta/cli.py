@@ -19,7 +19,6 @@ from .ihara import IharaDomainError, ihara_inverse
 from .loosegraph import (
     GenerateError,
     LooseGraph,
-    LooseGraphError,
     ParseError,
     generate,
     parse,
@@ -175,12 +174,12 @@ def _cmd_trace(g: LooseGraph, as_json: bool) -> int:
         ]
         rows.extend(
             {
-                "graph": serialize(step.graph_before),
+                "graph": serialize(trace.graph_before(i)),
                 "resolvedEdge": list(step.resolved_edge),
                 "delta": step.delta.to_json(),
                 "running": step.running_class.to_json(),
             }
-            for step in trace.steps
+            for i, step in enumerate(trace.steps)
         )
         print(json.dumps(rows))
         return EXIT_OK
@@ -248,13 +247,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_verify(g, primes, _check_budget(args.budget), args.json)
         if args.command == "trace":
             return _cmd_trace(g, args.json)
-        if args.command == "compare":
-            return _cmd_compare(g, args.json)
-        raise UsageError(f"unknown command {args.command!r}")
+        return _cmd_compare(g, args.json)  # argparse admits no other command
     except (ParseError, GenerateError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (LooseGraphError, IharaDomainError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except ExactDivisionError as exc:

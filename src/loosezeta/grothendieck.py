@@ -12,6 +12,7 @@ an explicit correction, peel a vertex adjacent to everything, and
 otherwise resolve the fundamental edges of a spanning tree one by one,
 subtracting each edge's resolution difference.  A step reads only the
 two unit balls of its edge, so it costs as much as that neighborhood.
+surgery_trace() records the same steps for one spanning tree.
 
 The resolution difference of xy needs three neighborhood pieces only:
 with m common neighbors, Delta = (L-1)*L^m + (L-1)^2*([glx] + [gly] - [g])
@@ -39,8 +40,6 @@ from .loosegraph import (
     _edge_charts,
     is_connected,
     is_loose_tree,
-    resolve,
-    spanning_tree,
 )
 from .polyring import L, Poly
 
@@ -261,11 +260,10 @@ def _surgery_class(g: LooseGraph) -> Poly:
 
 @dataclass(frozen=True)
 class SurgeryStep:
-    """One unresolve step: the loose graph at this stage, the edge whose
-    resolution leads a stage back toward the tree, the difference delta =
-    class(resolved) - class(this graph), and the running class."""
+    """One unresolve step: the edge whose resolution leads a stage back
+    toward the tree, the difference delta = class(resolved) - class(graph
+    before), and the running class."""
 
-    graph_before: LooseGraph
     resolved_edge: tuple[str, str]
     delta: Poly
     running_class: Poly
@@ -285,23 +283,29 @@ class SurgeryTrace:
     def result_class(self) -> Poly:
         return self.steps[-1].running_class if self.steps else self.final_tree_class
 
+    def graph_before(self, i: int) -> LooseGraph:
+        """The final tree with the edges of steps 0..i restored, built on each call."""
+        t, restored = self.final_tree, [step.resolved_edge for step in self.steps[: i + 1]]
+        loose = Counter(t._loose_counts) - Counter(v for e in restored for v in e)
+        return LooseGraph.build(t.vertices, t.edges + tuple(restored), loose, t.free)
+
 
 def surgery_trace(g: LooseGraph, rng: Random | None = None) -> SurgeryTrace:
-    """Resolve the fundamental edges of one spanning tree, recording each
-    difference; reported in unresolve order like a worked table."""
+    """The class loop's steps on the fundamental edges of one spanning tree,
+    in unresolve order like a worked table; builds one graph, the final tree."""
     if not g.vertices or not is_connected(g):
         raise LooseGraphError("surgery_trace(): connected input required")
-    _, fundamental = spanning_tree(g, rng)
     adj = _adjacency_sets(g)
-    downward: list[tuple[LooseGraph, tuple[str, str], Poly]] = []
-    h = g
-    for e in fundamental:
-        downward.append((h, e, _resolve_step(adj, *e)))
-        h = resolve(h, e)
-    tree_value = tree_class(h)
+    loose = Counter(g._loose_counts)
+    # resolving an edge keeps every full degree, so the tree's are the input's
+    tree_value = _tree_form([len(adj[v]) + loose[v] for v in g.vertices])
+    tree_edges, fundamental = _bfs_tree(adj, g.vertices, rng)
+    deltas = [_resolve_step(adj, x, y) for x, y in fundamental]
+    loose.update(v for e in fundamental for v in e)
     steps: list[SurgeryStep] = []
     running = tree_value
-    for graph_before, e, delta in reversed(downward):
+    for e, delta in zip(reversed(fundamental), reversed(deltas)):
         running = running - delta
-        steps.append(SurgeryStep(graph_before, e, delta, running))
-    return SurgeryTrace(tuple(steps), h, tree_value)
+        steps.append(SurgeryStep(e, delta, running))
+    tree = LooseGraph.build(g.vertices, tree_edges, loose, g.free)
+    return SurgeryTrace(tuple(steps), tree, tree_value)

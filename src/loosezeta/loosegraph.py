@@ -311,10 +311,11 @@ def generate(family: str, *params: int) -> LooseGraph:
         n, k = params
         if not 1 <= k <= n:
             raise GenerateError("johnson needs 1 <= k <= n")
+        width = len(str(n))  # zero-padded elements keep the labels distinct
         subsets = list(combinations(range(1, n + 1), k))
-        label = {s: "s" + "".join(map(str, s)) for s in subsets}
-        pairs = combinations(subsets, 2)
-        edges = [(label[a], label[b]) for a, b in pairs if len(set(a) & set(b)) == k - 1]
+        label = {s: "s" + "".join(f"{i:0{width}}" for i in s) for s in subsets}
+        swaps = ((s, i, j) for s in subsets for i in s for j in range(i + 1, n + 1) if j not in s)
+        edges = [(label[s], label[tuple(sorted({*s, j} - {i}))]) for s, i, j in swaps]
         return LooseGraph.build([label[s] for s in subsets], edges)
     if family == "hexahedron":
         need(0)

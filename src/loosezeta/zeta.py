@@ -34,9 +34,6 @@ class FactoredZeta:
             merged[k] = merged.get(k, 0) + a
         return cls(tuple(sorted((k, a) for k, a in merged.items() if a != 0)))
 
-    def exponent(self, k: int) -> int:
-        return dict(self.factors).get(k, 0)
-
     def to_json(self) -> dict:
         return {"factors": [[k, a] for k, a in self.factors]}
 

@@ -9,6 +9,7 @@ benchmark run; these tests make it fail the test suite as well.
 from __future__ import annotations
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -49,7 +50,13 @@ def test_traced_class_run_restores_every_attribute(tracing, tmp_path, capsys):
     tracer = tracing.Tracer()
     with tracer.installed():
         assert main(["class", str(path)]) == 0
-    assert capsys.readouterr().out == format_poly(class_polynomial(k4), "L") + "\n"
+        class_out = capsys.readouterr().out
+        # the trace path too: it rebuilds each row's graph from the final tree
+        assert main(["trace", "--json", str(path)]) == 0
+        rows = json.loads(capsys.readouterr().out)
+    assert class_out == format_poly(class_polynomial(k4), "L") + "\n"
+    assert rows[-1]["running"] == class_polynomial(k4).to_json()
+    assert rows[-1]["graph"] == serialize(k4)
     assert tracer.spans
     after = attribute_snapshot(tracing.MODULES)
     for key, attrs in before.items():

@@ -101,11 +101,14 @@ def run_case(case: dict) -> dict:
 
 
 def build_cases() -> list[dict]:
-    from loosezeta import generate, serialize
+    from loosezeta import LooseGraph, generate, serialize
 
     from conftest import corpus_graphs
 
-    graphs = dict(corpus_graphs(), star42=generate("star", 4, 2))
+    k4 = generate("complete", 4)
+    # cycles and loose edges at once: the trace rows carry loose edges
+    k4_loose2 = LooseGraph.build(k4.vertices, k4.edges, {"v1": 2})
+    graphs = dict(corpus_graphs(), star42=generate("star", 4, 2), K4_loose2=k4_loose2)
     cases = []
     for name, g in graphs.items():
         for argv in GRAPH_COMMANDS:

@@ -20,6 +20,8 @@ from loosezeta import (
     count_points,
     f1_zeta,
     is_connected,
+    resolve,
+    spanning_tree,
     surgery_trace,
     tree_class,
     tree_zeta_closed_form,
@@ -98,6 +100,23 @@ def test_tree_closed_forms_match_oracle(t):
 @given(connected_loose_graphs(), st.integers(0, 2**32 - 1))
 def test_trace_under_random_spanning_tree(g, seed):
     assert surgery_trace(g, Random(seed)).result_class == engine_class(g)
+
+
+@given(connected_loose_graphs(), st.integers(0, 2**32 - 1))
+def test_trace_snapshots_follow_the_resolve_chain(g, seed):
+    # the trace keeps no graph per step: each snapshot is rebuilt from the
+    # final tree, and must be the graph that public resolve() steps reach
+    trace = surgery_trace(g, Random(seed))
+    tree, fundamental = spanning_tree(g, Random(seed))
+    downward = [step.resolved_edge for step in reversed(trace.steps)]
+    assert tuple(downward) == fundamental
+    chain = [g]
+    for e in downward:
+        chain.append(resolve(chain[-1], e))
+    assert trace.final_tree == chain[-1]
+    assert trace.final_tree.edges == tree.edges
+    assert [trace.graph_before(i) for i in range(len(trace.steps))] == chain[-2::-1]
+    assert trace.final_tree_class == tree_class(trace.final_tree)
 
 
 def test_trace_rejects_a_lone_free_edge():

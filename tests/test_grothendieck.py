@@ -453,6 +453,31 @@ def test_surgery_trace_tree_and_cycle():
     assert trace.steps[0].running_class == L**2 + L + 1
 
 
+def test_surgery_trace_builds_one_graph(monkeypatch):
+    from loosezeta import grothendieck, loosegraph
+
+    k5 = generate("complete", 5)
+    g = LooseGraph.build(k5.vertices, k5.edges, {"v1": 2})
+    built = []
+    build = LooseGraph.build.__func__
+
+    def counting_build(cls, *args, **kwargs):
+        built.append(args)
+        return build(cls, *args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("surgery_trace() left the class loop's steps")
+
+    monkeypatch.setattr(LooseGraph, "build", classmethod(counting_build))
+    for module in (loosegraph, grothendieck):
+        for name in ("resolve", "spanning_tree", "tree_class"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    trace = surgery_trace(g)
+    assert len(built) == 1 and len(trace.steps) == 6
+    assert trace.graph_before(5) == g
+    assert len(built) == 2  # a snapshot is built only when asked for
+
+
 def test_surgery_trace_errors():
     with pytest.raises(LooseGraphError):
         surgery_trace(LooseGraph.build(["a", "b"]))
