@@ -1,96 +1,39 @@
 """Exact counting polynomials, zeta functions and point-count verification
-for loose graphs (graphs whose edges may keep one or zero endpoints)."""
+for loose graphs (graphs whose edges may keep one or zero endpoints).
 
-from .grothendieck import (
-    SurgeryStep,
-    SurgeryTrace,
-    class_polynomial,
-    resolution_difference,
-    star_class,
-    surgery_trace,
-    tree_class,
-)
-from .ihara import IharaDomainError, edge_matrix_inverse, ihara_inverse
-from .loosegraph import (
-    AmbientSpace,
-    GenerateError,
-    LooseGraph,
-    LooseGraphError,
-    NeighborhoodData,
-    ParseError,
-    TreeProfile,
-    ambient_space,
-    connected_components,
-    generate,
-    induced,
-    is_connected,
-    is_loose_tree,
-    neighborhood,
-    parse,
-    reduce,
-    resolve,
-    serialize,
-    spanning_tree,
-    tree_profile,
-)
-from .pointcount import BudgetError, VerifyReport, count_points, verify
-from .polyring import ExactDivisionError, L, Poly, PolyMatrix, det, format_poly
-from .zeta import (
-    FactoredZeta,
-    counting_polynomial,
-    euler_characteristic,
-    f1_zeta,
-    format_zeta,
-    tree_zeta_closed_form,
-)
+The package is lazy: a public name imports its home module on first
+access, so ``import loosezeta`` loads no engine module by itself.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmbientSpace",
-    "BudgetError",
-    "ExactDivisionError",
-    "FactoredZeta",
-    "GenerateError",
-    "IharaDomainError",
-    "L",
-    "LooseGraph",
-    "LooseGraphError",
-    "NeighborhoodData",
-    "ParseError",
-    "Poly",
-    "PolyMatrix",
-    "SurgeryStep",
-    "SurgeryTrace",
-    "TreeProfile",
-    "VerifyReport",
-    "ambient_space",
-    "class_polynomial",
-    "connected_components",
-    "count_points",
-    "counting_polynomial",
-    "det",
-    "edge_matrix_inverse",
-    "euler_characteristic",
-    "f1_zeta",
-    "format_poly",
-    "format_zeta",
-    "generate",
-    "ihara_inverse",
-    "induced",
-    "is_connected",
-    "is_loose_tree",
-    "neighborhood",
-    "parse",
-    "reduce",
-    "resolution_difference",
-    "resolve",
-    "serialize",
-    "spanning_tree",
-    "star_class",
-    "surgery_trace",
-    "tree_class",
-    "tree_profile",
+_HOMES = {
+    "grothendieck": "SurgeryStep SurgeryTrace class_polynomial resolution_difference "
+    "star_class surgery_trace tree_class",
+    "ihara": "IharaDomainError edge_matrix_inverse ihara_inverse",
+    "loosegraph": "AmbientSpace GenerateError LooseGraph LooseGraphError NeighborhoodData "
+    "ParseError TreeProfile ambient_space connected_components generate induced "
+    "is_connected is_loose_tree neighborhood parse reduce resolve serialize "
+    "spanning_tree tree_profile",
+    "pointcount": "BudgetError VerifyReport count_points verify",
+    "polyring": "ExactDivisionError L Poly PolyMatrix det format_poly",
+    "zeta": "FactoredZeta counting_polynomial euler_characteristic f1_zeta format_zeta "
     "tree_zeta_closed_form",
-    "verify",
-]
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """Resolve a public name from its home module and cache it here."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -14,8 +14,10 @@ import json
 import sys
 from typing import Sequence
 
+# pointcount, zeta and ihara are imported by the subcommands that use them.
+# class_polynomial stays a module-level name: the benchmark's tracer wraps
+# it here, never in its home module.
 from .grothendieck import class_polynomial, surgery_trace
-from .ihara import IharaDomainError, ihara_inverse
 from .loosegraph import (
     GenerateError,
     LooseGraph,
@@ -23,15 +25,17 @@ from .loosegraph import (
     generate,
     parse,
     serialize,
+    serialize_restoring,
 )
-from .pointcount import DEFAULT_BUDGET, PRIMALITY_LIMIT, count_points, is_prime, verify
 from .polyring import ExactDivisionError, Poly, format_poly
-from .zeta import f1_zeta, format_zeta
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
+
+#: Default --budget; equal to pointcount.DEFAULT_BUDGET (a test pins it).
+DEFAULT_BUDGET = 10_000_000
 
 BUDGET_HELP = (
     "most chart keys one count may generate (default %(default)s); it bounds keys, "
@@ -65,6 +69,7 @@ def _check_budget(budget: int) -> int:
 
 
 def _check_prime(what: str, q: int) -> None:
+    from .pointcount import PRIMALITY_LIMIT, is_prime
     # larger q get count_points()'s bound message, with no primality test
     if q < PRIMALITY_LIMIT and not is_prime(q):
         raise UsageError(f"{what} {q} is not prime")
@@ -128,18 +133,21 @@ def _cmd_class(g: LooseGraph, as_json: bool) -> int:
 
 
 def _cmd_zeta(g: LooseGraph, as_json: bool) -> int:
+    from .zeta import f1_zeta, format_zeta
     z = f1_zeta(class_polynomial(g))
     _emit(z.to_json(), format_zeta(z, "inverse"), as_json)
     return EXIT_OK
 
 
 def _cmd_ihara(g: LooseGraph, as_json: bool) -> int:
+    from .ihara import ihara_inverse
     p = ihara_inverse(g)
     _emit({"ihara_inverse": p.to_json()}, format_poly(p, "u"), as_json)
     return EXIT_OK
 
 
 def _cmd_count(g: LooseGraph, q: int, budget: int, as_json: bool) -> int:
+    from .pointcount import count_points
     _check_prime("--q", q)
     n = count_points(g, q, budget=budget)
     _emit({"prime": q, "count": n}, str(n), as_json)
@@ -147,6 +155,7 @@ def _cmd_count(g: LooseGraph, q: int, budget: int, as_json: bool) -> int:
 
 
 def _cmd_verify(g: LooseGraph, primes: list[int], budget: int, as_json: bool) -> int:
+    from .pointcount import verify
     report = verify(g, primes, budget=budget)
     lines = [
         f"q={c.prime}: class={c.expected} counted={c.counted} {'ok' if c.ok else 'MISMATCH'}"
@@ -164,22 +173,17 @@ def _cmd_verify(g: LooseGraph, primes: list[int], budget: int, as_json: bool) ->
 def _cmd_trace(g: LooseGraph, as_json: bool) -> int:
     trace = surgery_trace(g)
     if as_json:
-        rows = [
-            {
-                "graph": serialize(trace.final_tree),
-                "resolvedEdge": None,
-                "delta": None,
-                "running": trace.final_tree_class.to_json(),
-            }
-        ]
+        texts = serialize_restoring(trace.final_tree, [step.resolved_edge for step in trace.steps])
+        tree_class = trace.final_tree_class.to_json()
+        rows = [{"graph": texts[0], "resolvedEdge": None, "delta": None, "running": tree_class}]
         rows.extend(
             {
-                "graph": serialize(trace.graph_before(i)),
+                "graph": text,
                 "resolvedEdge": list(step.resolved_edge),
                 "delta": step.delta.to_json(),
                 "running": step.running_class.to_json(),
             }
-            for i, step in enumerate(trace.steps)
+            for text, step in zip(texts[1:], trace.steps)
         )
         print(json.dumps(rows))
         return EXIT_OK
@@ -195,6 +199,8 @@ def _cmd_trace(g: LooseGraph, as_json: bool) -> int:
 
 
 def _cmd_compare(g: LooseGraph, as_json: bool) -> int:
+    from .ihara import IharaDomainError, ihara_inverse
+    from .zeta import f1_zeta, format_zeta
     p = class_polynomial(g)
     z = f1_zeta(p)
     try:

@@ -27,7 +27,6 @@ outside vertex.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from random import Random
 from typing import AbstractSet, Iterable, Mapping
 
@@ -40,6 +39,7 @@ from .loosegraph import (
     _edge_charts,
     is_connected,
     is_loose_tree,
+    value_class,
 )
 from .polyring import L, Poly
 
@@ -258,7 +258,7 @@ def _surgery_class(g: LooseGraph) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value_class
 class SurgeryStep:
     """One unresolve step: the edge whose resolution leads a stage back
     toward the tree, the difference delta = class(resolved) - class(graph
@@ -269,7 +269,7 @@ class SurgeryStep:
     running_class: Poly
 
 
-@dataclass(frozen=True)
+@value_class
 class SurgeryTrace:
     """Full surgery bookkeeping from the loose spanning tree back to the
     input graph; running classes satisfy running_i = running_{i-1} - delta_i

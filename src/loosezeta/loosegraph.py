@@ -10,10 +10,11 @@ graph derives its neighbor map and loose counts once, on first use.
 from __future__ import annotations
 
 import re
+from bisect import bisect
 from collections import Counter, deque
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from operator import attrgetter
 from random import Random
 from typing import Iterable, Mapping, Sequence
 
@@ -42,7 +43,46 @@ def _norm_edge(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
-@dataclass(frozen=True)
+def value_class(cls: type) -> type:
+    """Make ``cls`` an immutable value whose fields are its annotated names,
+    with class attributes as defaults.  It gets a positional and keyword
+    ``__init__``, ``__eq__`` and ``__hash__`` over the fields (same class only)
+    and ``__repr__``; setting or deleting an attribute raises AttributeError.
+    Instances keep a ``__dict__``, where ``cached_property`` stores values."""
+    names = tuple(cls.__dict__.get("__annotations__", {}))
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+    key = attrgetter(*names)
+
+    def __init__(self, *args, **kwargs):
+        values = {**defaults, **dict(zip(names, args)), **kwargs}
+        if len(args) > len(names) or not kwargs.keys() <= set(names[len(args) :]):
+            raise TypeError(f"{cls.__name__}() takes the fields {', '.join(names)} once each")
+        if len(values) < len(names):
+            raise TypeError(f"{cls.__name__}() missing {', '.join(n for n in names if n not in values)}")
+        self.__dict__.update(values)
+
+    def __eq__(self, other):
+        return key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+        setattr(cls, method.__name__, method)
+    return cls
+
+
+@value_class
 class LooseGraph:
     """Immutable loose graph.
 
@@ -93,12 +133,7 @@ class LooseGraph:
                 lmap[v] = lmap.get(v, 0) + k
         if free < 0:
             raise LooseGraphError("negative free-edge count")
-        return cls(
-            vertices=tuple(vs),
-            edges=tuple(sorted(eset)),
-            loose=tuple(sorted(lmap.items())),
-            free=free,
-        )
+        return cls(tuple(vs), tuple(sorted(eset)), tuple(sorted(lmap.items())), free)
 
     # -- queries -----------------------------------------------------------
 
@@ -238,12 +273,30 @@ def parse(text: str, strict: bool = False) -> LooseGraph:
 
 def serialize(g: LooseGraph) -> str:
     """Canonical `.lg` text: vertices sorted, then edges sorted."""
-    out: list[str] = [f"vertex {v}" for v in sorted(g.vertices)]
-    out.extend(f"edge {a} {b}" for a, b in sorted(g.edges))
-    for v, k in g.loose:
-        out.extend([f"loose {v}"] * k)
-    out.extend(["free"] * g.free)
-    return "\n".join(out) + ("\n" if out else "")
+    return serialize_restoring(g, ())[0]
+
+
+def serialize_restoring(g: LooseGraph, restored: Iterable[tuple[str, str]]) -> list[str]:
+    """serialize() of ``g``, then of ``g`` with each edge of ``restored`` put
+    back in turn and one loose edge taken from each of its endpoints; each
+    text is updated from the one before, with no graph built.  Every restored
+    edge must be new and have a loose edge at each endpoint."""
+    head, tail = "".join(f"vertex {v}\n" for v in sorted(g.vertices)), "free\n" * g.free
+    edges = sorted(g.edges)
+    edge_lines = [f"edge {a} {b}\n" for a, b in edges]
+    loose = dict(g._loose_counts)  # sorted by vertex, as build() keeps it
+    loose_lines = {v: f"loose {v}\n" * k for v, k in loose.items()}
+    texts = [head + "".join(edge_lines) + "".join(loose_lines.values()) + tail]
+    for a, b in restored:
+        e = _norm_edge(a, b)
+        i = bisect(edges, e)
+        edges.insert(i, e)
+        edge_lines.insert(i, f"edge {e[0]} {e[1]}\n")
+        for v in e:
+            loose[v] -= 1
+            loose_lines[v] = f"loose {v}\n" * loose[v]
+        texts.append(head + "".join(edge_lines) + "".join(loose_lines.values()) + tail)
+    return texts
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +481,7 @@ def is_loose_tree(g: LooseGraph) -> bool:
     return is_connected(g) and g.n_edges == g.n_vertices - 1
 
 
-@dataclass(frozen=True)
+@value_class
 class TreeProfile:
     """Degree bookkeeping of a loose tree: counts of degrees > 1, the inner
     count I = (#inner vertices) - 1 and the number E of degree-1 vertices."""
@@ -500,7 +553,7 @@ def spanning_tree(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value_class
 class NeighborhoodData:
     """The auxiliary loose graphs around an edge xy of a reduced graph.
 
@@ -596,7 +649,7 @@ def neighborhood(g: LooseGraph, edge: tuple[str, str]) -> NeighborhoodData:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value_class
 class AmbientSpace:
     """Coordinates of the ambient projective space: one per vertex, one per
     loose edge (its phantom direction) and two per free edge."""

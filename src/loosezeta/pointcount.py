@@ -10,10 +10,8 @@ over w in F_p^D.  All sum p^deg(v) keys are generated (estimated_work()).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .grothendieck import class_polynomial
-from .loosegraph import LooseGraph, ambient_space
+from .loosegraph import LooseGraph, ambient_space, value_class
 
 DEFAULT_PRIME_BOUND = 13
 DEFAULT_BUDGET = 10_000_000
@@ -104,7 +102,7 @@ def count_points(g: LooseGraph, p: int, budget: int = DEFAULT_BUDGET) -> int:
     return len(points) + g.free * (p - 1)
 
 
-@dataclass(frozen=True)
+@value_class
 class PrimeCheck:
     prime: int
     expected: int
@@ -112,7 +110,7 @@ class PrimeCheck:
     ok: bool
 
 
-@dataclass(frozen=True)
+@value_class
 class VerifyReport:
     """Per-prime oracle comparison plus the P(1) = #vertices check."""
 

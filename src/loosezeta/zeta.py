@@ -9,16 +9,15 @@ coefficient route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Literal
 
-from .loosegraph import LooseGraph, LooseGraphError, tree_profile
+from .loosegraph import LooseGraph, LooseGraphError, tree_profile, value_class
 from .polyring import Poly
 
 ZetaStyle = Literal["inverse", "direct", "fp"]
 
 
-@dataclass(frozen=True)
+@value_class
 class FactoredZeta:
     """zeta(t) = prod (t - k)^(-a_k), stored as (k, a_k) pairs with distinct
     k in increasing order and a_k != 0."""

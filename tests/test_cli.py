@@ -93,11 +93,11 @@ def test_verify_exit_codes(capsys, monkeypatch):
     assert code == 0
     assert "PASS" in out
     # a failing report must exit 3
-    import loosezeta.cli as climod
+    import loosezeta.pointcount as pcmod
     from loosezeta.pointcount import PrimeCheck, VerifyReport
 
     fake = VerifyReport((PrimeCheck(2, 14, 13, False),), 4, 4)
-    monkeypatch.setattr(climod, "verify", lambda *a, **kw: fake)
+    monkeypatch.setattr(pcmod, "verify", lambda *a, **kw: fake)
     code, out, _ = run(capsys, ["verify"], stdin=K4_STAR_LG)
     assert code == 3
     assert "FAIL" in out
