@@ -6,22 +6,24 @@ power q.  Closed points sit at the vertices; each vertex of degree d
 carries a local affine space of dimension d whose directions are the
 incident edges (loose edges point at phantom directions).
 
-The engine is one surgery loop over mutable adjacency sets: split into
-components, apply the loose-tree formula, strip loose/free edges against
-an explicit correction, peel a vertex adjacent to everything, and
-otherwise resolve the fundamental edges of a spanning tree one by one,
-subtracting each edge's resolution difference.  A step reads only the
-two unit balls of its edge, so it costs as much as that neighborhood.
-surgery_trace() records the same steps for one spanning tree.
+The scheme is the union of one affine chart per vertex, so the class is
+one inclusion-exclusion over the charts, that is over the cliques S of
+the reduced graph: S contributes (1-L)^(|S|-1) * L^|CN(S)|, with CN(S)
+the common neighbors of S.  A loose edge only adds a direction to one
+chart, and a free edge is a multiplicative group L-1; both are closed
+forms.  class_polynomial() adds the census over connected pieces and
+peels a vertex adjacent to a whole piece (a term L^(n-1)) before it
+enumerates cliques, so complete and threshold graphs stay polynomial.
 
-The resolution difference of xy needs three neighborhood pieces only:
-with m common neighbors, Delta = (L-1)*L^m + (L-1)^2*([glx] + [gly] - [g])
-(see resolution_difference()).  Each piece is evaluated by
-inclusion-exclusion over the local affine charts (equivalently, over
-cliques of real vertices): a clique S with c(S) common chart directions
-contributes (1-L)^(|S|-1) * L^c(S).  This evaluates each piece *as
-embedded*, which matters when two of its loose edges point at the same
-outside vertex.
+The paper's surgery is kept as an independent route to the same class:
+surgery_trace() resolves the fundamental edges of a spanning tree down to
+a loose tree whose class is known in closed form, subtracting each edge's
+resolution difference.  The difference of xy needs three neighborhood
+pieces only: with m common neighbors,
+Delta = (L-1)*L^m + (L-1)^2*([glx] + [gly] - [g]) (see
+resolution_difference()).  Each piece is a chart class *as embedded*,
+which matters when two of its loose edges point at the same outside
+vertex.
 """
 
 from __future__ import annotations
@@ -102,11 +104,10 @@ def chart_class(charts: Mapping[str, AbstractSet[str]]) -> Poly:
     clique S whose charts share c tokens contributes (1-L)^(|S|-1) L^c.
     The cliques are counted by (|S|, c) and the polynomial built once.
     """
-    reals = sorted(charts)
     sets = {v: frozenset(s) for v, s in charts.items()}
     census: Counter[tuple[int, int]] = Counter()
     # (clique size, tokens shared by its charts, later reals adjacent to all of it)
-    stack = [(1, sets[v], [u for u in reals[i + 1 :] if u in sets[v]]) for i, v in enumerate(reals)]
+    stack = [(1, s, [u for u in s if u > v and u in sets]) for v, s in sets.items()]
     while stack:
         size, common, cand = stack.pop()
         census[size, len(common)] += 1
@@ -123,6 +124,10 @@ def chart_class(charts: Mapping[str, AbstractSet[str]]) -> Poly:
 # ---------------------------------------------------------------------------
 
 
+_L_MINUS_1 = L - 1
+_L_MINUS_1_SQUARED = _L_MINUS_1**2
+
+
 def _difference(adj: Mapping[str, Iterable[str]], x: str, y: str) -> Poly:
     """The resolution difference of the edge xy of the reduced graph held
     in ``adj``; reads the two unit balls of the edge only."""
@@ -130,15 +135,7 @@ def _difference(adj: Mapping[str, Iterable[str]], x: str, y: str) -> Poly:
     common = frozenset(gl)
     g = {v: s & common for v, s in gl.items()}
     brackets = chart_class(glx) + chart_class(gly) - chart_class(g)
-    return (L - 1) * L ** len(common) + (L - 1) ** 2 * brackets
-
-
-def _resolve_step(adj: dict[str, set[str]], x: str, y: str) -> Poly:
-    """Delete the edge xy from ``adj``; return its resolution difference."""
-    delta = _difference(adj, x, y)
-    adj[x].discard(y)
-    adj[y].discard(x)
-    return delta
+    return _L_MINUS_1 * L ** len(common) + _L_MINUS_1_SQUARED * brackets
 
 
 def resolution_difference(g: LooseGraph, edge: tuple[str, str]) -> Poly:
@@ -210,46 +207,31 @@ def class_polynomial(g: LooseGraph) -> Poly:
     key = canonical_key(g)
     result = _memo.get(key)
     if result is None:
-        result = _memo[key] = _surgery_class(g)
+        result = _memo[key] = _census_class(g)
     return result
 
 
-def _surgery_class(g: LooseGraph) -> Poly:
-    """The surgery loop: the class is a sum of closed forms, reduction
-    corrections and apex terms over the pieces, minus the resolution
-    difference of every resolved edge."""
+def _census_class(g: LooseGraph) -> Poly:
+    """The clique census of the charts, added over connected pieces, with
+    loose and free edges in closed form and every apex peeled first."""
     adj = _adjacency_sets(g)
-    loose = g.loose_map()
-    total = g.free * (L - 1)  # each free edge is a multiplicative group
+    total = g.free * _L_MINUS_1  # each free edge is a multiplicative group
+    for v, k in g.loose:  # a loose edge adds a direction to v's chart only
+        d = len(adj[v])
+        total = total + L ** (d + k) - L**d
     work = _components(adj, g.vertices)
     while work:
         piece = work.pop()
         n = len(piece)
-        if sum(len(adj[v]) for v in piece) == 2 * (n - 1):
-            total = total + _tree_form([len(adj[v]) + loose.get(v, 0) for v in piece])
-            continue
-        for v in piece:
-            k = loose.pop(v, 0)
-            if k:
-                d = len(adj[v]) + k
-                total = total + L**d - L ** (d - k)
+        # an apex adds L^(n-1) to the census of the rest of its piece
         apex = min((v for v in piece if len(adj[v]) == n - 1), default=None)
         if apex is not None:
             total = total + L ** (n - 1)
             for u in adj.pop(apex):
                 adj[u].discard(apex)
             work.extend(_components(adj, [v for v in piece if v != apex]))
-            continue
-        # Resolving a fundamental edge keeps the piece connected and only
-        # lowers degrees, so no apex appears before the piece is a tree.
-        # Stripping the two loose edges a step leaves costs L^d - L^(d-1)
-        # at each end.
-        _, fundamental = _bfs_tree(adj, piece)
-        for x, y in fundamental:
-            dx, dy = len(adj[x]), len(adj[y])
-            delta = _resolve_step(adj, x, y)
-            total = total + L**dx - L ** (dx - 1) + L**dy - L ** (dy - 1) - delta
-        total = total + _tree_form([len(adj[v]) for v in piece])
+        else:
+            total = total + chart_class({v: adj[v] for v in piece})
     return total
 
 
@@ -291,7 +273,7 @@ class SurgeryTrace:
 
 
 def surgery_trace(g: LooseGraph, rng: Random | None = None) -> SurgeryTrace:
-    """The class loop's steps on the fundamental edges of one spanning tree,
+    """The paper's surgery on the fundamental edges of one spanning tree,
     in unresolve order like a worked table; builds one graph, the final tree."""
     if not g.vertices or not is_connected(g):
         raise LooseGraphError("surgery_trace(): connected input required")
@@ -300,7 +282,11 @@ def surgery_trace(g: LooseGraph, rng: Random | None = None) -> SurgeryTrace:
     # resolving an edge keeps every full degree, so the tree's are the input's
     tree_value = _tree_form([len(adj[v]) + loose[v] for v in g.vertices])
     tree_edges, fundamental = _bfs_tree(adj, g.vertices, rng)
-    deltas = [_resolve_step(adj, x, y) for x, y in fundamental]
+    deltas = []
+    for x, y in fundamental:  # resolve each edge: Delta, then delete it
+        deltas.append(_difference(adj, x, y))
+        adj[x].discard(y)
+        adj[y].discard(x)
     loose.update(v for e in fundamental for v in e)
     steps: list[SurgeryStep] = []
     running = tree_value

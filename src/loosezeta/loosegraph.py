@@ -449,7 +449,8 @@ def _components(adj: Mapping[str, Iterable[str]], vertices: Iterable[str]) -> li
 
 
 def _adjacency_sets(g: LooseGraph) -> dict[str, set[str]]:
-    """Mutable neighbor sets, the working state of the surgery loop."""
+    """Mutable neighbor sets: the class census peels apexes off them and
+    the surgery trace deletes its resolved edges from them."""
     return {v: set(ns) for v, ns in g._neighbor_map.items()}
 
 

@@ -51,7 +51,8 @@ def test_traced_class_run_restores_every_attribute(tracing, tmp_path, capsys):
     with tracer.installed():
         assert main(["class", str(path)]) == 0
         class_out = capsys.readouterr().out
-        # the trace path too: it rebuilds each row's graph from the final tree
+        # the trace path too: it serializes each row's graph from the final tree
+        # with the row's edges restored, and builds no graph per row
         assert main(["trace", "--json", str(path)]) == 0
         rows = json.loads(capsys.readouterr().out)
     assert class_out == format_poly(class_polynomial(k4), "L") + "\n"

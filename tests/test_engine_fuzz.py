@@ -1,8 +1,8 @@
-"""Differential property tests of the surgery engine on small random loose
+"""Differential property tests of the class engine on small random loose
 graphs with loose and free edges, possibly disconnected.  The brute-force
-point count, the Euler count P(1) = #vertices, relabelling, random
-spanning trees and the loose-tree closed forms are independent of the loop
-that computes the class."""
+point count, the Euler count P(1) = #vertices, relabelling, the surgery
+trace under random spanning trees and the loose-tree closed forms are
+independent of the chart census that computes the class."""
 
 from __future__ import annotations
 
@@ -27,14 +27,16 @@ from loosezeta import (
     tree_zeta_closed_form,
 )
 from loosezeta import grothendieck
+from loosezeta.grothendieck import chart_class
 from loosezeta.pointcount import estimated_work
+from loosezeta.polyring import L
 
 #: Enumeration work allowed per oracle call at p = 5, to keep examples fast.
 P5_WORK = 2 * 10**5
 
 
 def engine_class(g: LooseGraph):
-    """class_polynomial with the memo emptied, so the loop itself runs."""
+    """class_polynomial with the memo emptied, so the census itself runs."""
     grothendieck._memo.clear()
     return class_polynomial(g)
 
@@ -51,6 +53,14 @@ def test_class_matches_point_counts(g):
 def test_class_matches_point_count_at_five(g):
     assume(estimated_work(g, 5) <= P5_WORK)
     assert engine_class(g).evaluate(5) == count_points(g, 5)
+
+
+@given(loose_graphs())
+def test_class_is_the_unfactored_chart_census(g):
+    # one chart per vertex: its neighbors plus one phantom token per loose
+    # edge; no component split and no apex peel
+    charts = {v: {*g.neighbors(v), *(f"{v}/{i}" for i in range(g.loose_count(v)))} for v in g.vertices}
+    assert engine_class(g) == chart_class(charts) + g.free * (L - 1)
 
 
 @given(loose_graphs(), st.randoms(use_true_random=False))

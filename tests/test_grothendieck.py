@@ -27,6 +27,7 @@ from loosezeta import (
     LooseGraphError,
     class_polynomial,
     connected_components,
+    count_points,
     generate,
     induced,
     neighborhood,
@@ -39,7 +40,7 @@ from loosezeta import (
     tree_class,
 )
 from loosezeta.grothendieck import canonical_key, chart_class
-from loosezeta.polyring import L, Poly
+from loosezeta.polyring import L, Poly, exact_div
 from paper_objects import cone, cone_class, local_after, local_before
 
 
@@ -466,7 +467,7 @@ def test_surgery_trace_builds_one_graph(monkeypatch):
         return build(cls, *args, **kwargs)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("surgery_trace() left the class loop's steps")
+        raise AssertionError("surgery_trace() left its own steps")
 
     monkeypatch.setattr(LooseGraph, "build", classmethod(counting_build))
     for module in (loosegraph, grothendieck):
@@ -500,3 +501,25 @@ def test_family_formulas_sample():
     with_g = gamma_uvm(2, a=0, b=0, g_edges=((1, 2),), resolved=True)
     pg = L + 1
     assert class_polynomial(with_g) == 2 * L**2 + pg * (L - 1) ** 2 + pg
+
+
+def complete_multipartite(parts: tuple[int, ...]) -> LooseGraph:
+    labelled = [(f"p{i}_{j}", i) for i, a in enumerate(parts) for j in range(a)]
+    edges = [(u, w) for (u, i), (w, j) in combinations(labelled, 2) if i != j]
+    return LooseGraph.build([v for v, _ in labelled], edges)
+
+
+@pytest.mark.parametrize("parts", [(1,) * 5, (2, 2), (2, 2, 2), (3, 3, 3), (1, 2, 3), (4, 1)])
+def test_complete_multipartite_closed_form(parts):
+    # a clique takes at most one vertex from each part and its common
+    # neighbors are the parts it misses, so the census factors over parts:
+    # (prod_i (L^a_i + a_i (1 - L)) - L^(sum a_i)) / (1 - L)
+    product = Poly.one()
+    for a in parts:
+        product = product * (L**a + a * (1 - L))
+    expected = exact_div(product - L ** sum(parts), 1 - L)
+    g = complete_multipartite(parts)
+    assert class_polynomial(g) == expected
+    assert surgery_trace(g).result_class == expected
+    for p in (2, 3):
+        assert count_points(g, p) == expected.evaluate(p)

@@ -10,7 +10,9 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from itertools import combinations
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -43,6 +45,19 @@ def grid(a: int, b: int) -> LooseGraph:
     return LooseGraph.build([v for row in name for v in row], edges)
 
 
+def cocktail(k: int) -> LooseGraph:
+    """K_2k minus the perfect matching c0-c1, c2-c3, ..."""
+    vs = [f"c{i:02d}" for i in range(2 * k)]
+    return LooseGraph.build(vs, [(vs[i], vs[j]) for i, j in combinations(range(2 * k), 2) if j != i ^ 1])
+
+
+def threshold_graph(n: int, seed: int) -> LooseGraph:
+    """Vertices added one at a time, each isolated or joined to every earlier one."""
+    rng = Random(seed)
+    vs = [f"t{i:03d}" for i in range(n)]
+    return LooseGraph.build(vs, [(vs[j], vs[i]) for i in range(1, n) if rng.random() < 0.5 for j in range(i)])
+
+
 @contextmanager
 def default_recursion_limit():
     old = sys.getrecursionlimit()
@@ -68,6 +83,21 @@ def test_grid_class_euler_count(n):
         p = class_polynomial(g)
     assert p.evaluate(1) == n * n
     assert p.degree == 4
+
+
+# The class is one chart census: by surgery, cocktail 11 took 1.3-1.6 s and
+# grid 60x60 0.3-0.5 s.  A threshold graph is a chain of apex peels on the
+# work list, not a recursion.
+@pytest.mark.parametrize(
+    "make, seconds",
+    [(lambda: cocktail(11), 0.8), (lambda: grid(60, 60), 0.25), (lambda: threshold_graph(300, 7), 1.0)],
+    ids=["cocktail_11", "grid_60x60", "threshold_300"],
+)
+def test_class_census_scale(make, seconds):
+    g = make()
+    with default_recursion_limit(), within(seconds):
+        p = class_polynomial(g)
+    assert p.evaluate(1) == g.n_vertices
 
 
 def test_small_grid_class_matches_oracle():
