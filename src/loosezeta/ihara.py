@@ -4,7 +4,11 @@ Both take a finite connected graph with no degree-1 vertices and rank
 |E| - |V| + 1 >= 1 and produce the same degree-2|E| polynomial in u with
 constant term 1: once as (1 - u^2)^(r-1) det(1 - A u + Q u^2) over the
 vertices, once as det(1 - u E) over the 2|E| oriented edges.  The
-shared ingredient is only the exact determinant kernel.
+shared ingredient is only the exact determinant kernel of `polyring`,
+which reads both as reversed characteristic polynomials: of the companion
+[[A, -Q], [I, 0]] for the vertex route and of Hashimoto's non-backtracking
+matrix E for the edge route.  Neither route uses the Ihara-Bass identity
+that equates them, so their agreement is a check.
 """
 
 from __future__ import annotations
@@ -54,14 +58,15 @@ def edge_matrix_inverse(g: LooseGraph) -> Poly:
     _validate(g)
     m = g.n_edges
     oriented = [(a, b) for a, b in g.edges] + [(b, a) for a, b in g.edges]
+    leaving: dict[str, list[int]] = {}
+    for j, (tail, _) in enumerate(oriented):
+        leaving.setdefault(tail, []).append(j)
     size = 2 * m
+    one, minus_u = Poly.one(), Poly((0, -1))
     rows: list[list[Poly]] = [[Poly.zero()] * size for _ in range(size)]
-    minus_u = Poly((0, -1))
-    for i in range(size):
-        rows[i][i] = Poly.one()
     for i, (_, head) in enumerate(oriented):
-        inverse_index = i + m if i < m else i - m
-        for j, (tail, _) in enumerate(oriented):
-            if j != inverse_index and tail == head:
-                rows[i][j] = rows[i][j] + minus_u
+        rows[i][i] = one
+        for j in leaving[head]:
+            if j != (i + m) % size:  # not the inverse orientation
+                rows[i][j] = minus_u
     return PolyMatrix(rows).det()

@@ -12,18 +12,21 @@ only matters when formatting.
 Determinants of polynomial matrices come from one modular kernel.  On
 |z| = 1 each |M_ij(z)| <= |M_ij|_1, so by Hadamard's inequality and
 Cauchy's coefficient bound every coefficient of det M is at most H, where
-H^2 = prod_i sum_j |M_ij|_1^2.  With rows and columns in one reverse
-Cuthill-McKee order, det M(x) is eliminated at x = 0..D (D the degree
-bound) modulo Mersenne primes whose product P exceeds 2H; CRT, Newton
-interpolation and the lift to (-P/2, P/2) are then exact.  The value at
-x = D + 1 under an independent prime checks the result.
+H^2 = prod_i sum_j |M_ij|_1^2.  Modulo each Mersenne prime of a set with
+product P > 2H, x = v + s shifts to the first s = 0..D (D the degree
+bound) with M(s) invertible, else det M = 0 mod p.  For M(v + s) = sum
+N_k v^k, det M(v + s) = det N_0 det(I - vC) with the block companion C
+of first block row -N_0^-1 N_k and identity blocks below: the reversed
+char poly of C, by Hessenberg reduction (Cohen 1993, 2.2.4).  CRT and
+the lift to (-P/2, P/2) are exact; det M(D + 1) by plain elimination
+under an independent prime checks the result.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
 from math import prod
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
 
@@ -50,8 +53,6 @@ class Poly:
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Poly is immutable")
 
-    # -- constructors ------------------------------------------------------
-
     @classmethod
     def zero(cls) -> "Poly":
         return cls(())
@@ -69,8 +70,6 @@ class Poly:
         if k < 0:
             raise ValueError("negative exponent")
         return cls((0,) * k + (c,))
-
-    # -- basic queries -----------------------------------------------------
 
     @property
     def degree(self) -> int:
@@ -91,15 +90,11 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    # -- arithmetic --------------------------------------------------------
-
     @staticmethod
     def _coerce(other) -> "Poly | None":
-        if isinstance(other, Poly):
-            return other
         if isinstance(other, int):
             return Poly((other,))
-        return None
+        return other if isinstance(other, Poly) else None
 
     def __add__(self, other) -> "Poly":
         q = self._coerce(other)
@@ -120,15 +115,11 @@ class Poly:
 
     def __sub__(self, other) -> "Poly":
         q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        return self + (-q)
+        return NotImplemented if q is None else self + (-q)
 
     def __rsub__(self, other) -> "Poly":
         q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        return q + (-self)
+        return NotImplemented if q is None else q + (-self)
 
     def __mul__(self, other) -> "Poly":
         q = self._coerce(other)
@@ -153,8 +144,7 @@ class Poly:
         cs = self.coeffs
         if cs and not any(cs[:-1]):
             return Poly.monomial((len(cs) - 1) * n, cs[-1] ** n)
-        result = Poly.one()
-        base = self
+        result, base = Poly.one(), self
         while n:
             if n & 1:
                 result = result * base
@@ -178,10 +168,7 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def __call__(self, x: int) -> int:
-        return self.evaluate(x)
-
-    # -- serialization -----------------------------------------------------
+    __call__ = evaluate
 
     def to_json(self) -> list[str]:
         """Little-endian coefficient array of decimal strings."""
@@ -226,20 +213,12 @@ def divmod_exact(p: Poly, d: Poly) -> tuple[Poly, Poly]:
     leading-coefficient division along the way is exact over the integers."""
     if d.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p.coeffs)
-    dc = d.coeffs
-    dd = d.degree
-    lead = dc[-1]
+    rem, dc, dd = list(p.coeffs), d.coeffs, d.degree
     quo = [0] * max(len(rem) - dd, 0)
-    while len(rem) - 1 >= dd and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dd:
-            break
-        c, r = divmod(rem[-1], lead)
-        if r != 0:
-            raise ExactDivisionError(f"{rem[-1]} not divisible by {lead}")
-        shift = len(rem) - 1 - dd
+    for shift in reversed(range(len(quo))):  # a zero top term divides to 0
+        c, r = divmod(rem[shift + dd], dc[-1])
+        if r:
+            raise ExactDivisionError(f"{rem[shift + dd]} not divisible by {dc[-1]}")
         quo[shift] = c
         for i, dci in enumerate(dc):
             rem[shift + i] -= c * dci
@@ -279,26 +258,26 @@ class PolyMatrix:
 
     def det(self) -> Poly:
         """Exact determinant by the modular kernel of the module docstring;
-        raises ExactDivisionError if the check node disagrees."""
+        raises ValueError for a bound past the moduli table and
+        ExactDivisionError if the check node disagrees."""
         if self.n == 0:
             return Poly.one()
         h2 = _bound_squared(self)
         if not h2:  # a zero row
             return Poly.zero()
-        order = _rcm_order(self)
-        where = {old: new for new, old in enumerate(order)}
-        rows = [sorted((where[j], e) for j, e in enumerate(self.entries[i]) if e) for i in order]
-        nodes = sum(max(e.degree for _, e in row) for row in rows) + 1
-        values, product = [0] * nodes, 1
+        if h2 > _H2_CEILING:
+            raise ValueError(f"determinant bound of {h2.bit_length() // 2} bits is past the moduli table")
+        top = sum(max(e.degree for e in row) for row in self.entries)
+        terms = [(i, j, e) for i, row in enumerate(self.entries) for j, e in enumerate(row) if e]
+        coeffs, product = [0] * (top + 1), 1
         for p in _moduli(h2):  # CRT, one prime at a time
             inv = pow(product, -1, p)
-            residues = [_det_mod(rows, x, p) for x in range(nodes)]
-            values = [v + product * ((r - v) * inv % p) for v, r in zip(values, residues)]
+            residues = _det_mod(terms, self.n, top, p)  # zip drops its zeros past degree top
+            coeffs = [c + product * ((r - c) * inv % p) for c, r in zip(coeffs, residues)]
             product *= p
-        coeffs = _interpolate(values, product)
         result = Poly([c - product if 2 * c > product else c for c in coeffs])
-        q = _CHECK_MODULUS
-        if (result.evaluate(nodes) - _det_mod(rows, nodes, q)) % q:
+        q, x = _CHECK_MODULUS, top + 1
+        if (result.evaluate(x) - _gauss_jordan([[e.evaluate(x) for e in row] for row in self.entries], q)) % q:
             raise ExactDivisionError(f"determinant disagrees with its check node modulo {q}")
         return result
 
@@ -306,6 +285,8 @@ class PolyMatrix:
 #: Mersenne primes 2^e - 1: proven prime, pairwise coprime, and a pass
 #: costs about the same under each of the first four.
 _MODULI = tuple((1 << e) - 1 for e in (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253))
+#: The largest H^2 for which the whole table still has P > 2H.
+_H2_CEILING = prod(_MODULI) ** 2 // 4
 #: The check node's prime, a Mersenne prime outside the table.
 _CHECK_MODULUS = (1 << 31) - 1
 
@@ -317,78 +298,98 @@ def _bound_squared(m: PolyMatrix) -> int:
 
 def _moduli(h2: int) -> list[int]:
     """Primes with product P > 2H: the first cheap one that does alone, else the
-    shortest prefix of the table (or all of it, which the check then rejects)."""
+    shortest prefix of the table (all of it if none will do; det refuses such H first)."""
     single = [p for p in _MODULI[:4] if p * p > 4 * h2]
     products = enumerate(accumulate(_MODULI, mul), 1)
     count = next((k for k, q in products if q * q > 4 * h2), len(_MODULI))
     return single[:1] or list(_MODULI[:count])
 
 
-def _rcm_order(m: PolyMatrix) -> list[int]:
-    """Reverse Cuthill-McKee order of the symmetrised nonzero pattern:
-    breadth-first from least-degree indices, lower degrees first."""
-    adj = [{j for j, e in enumerate(row) if e} for row in m.entries]
-    for j, col in enumerate(zip(*m.entries)):
-        adj[j] |= {i for i, e in enumerate(col) if e}
-    key = [(len(ns), v) for v, ns in enumerate(adj)]
-    order: list[int] = []
-    seen: set[int] = set()
-    for start in sorted(range(m.n), key=key.__getitem__):
-        if start not in seen:
-            seen.add(start)
-            part = [start]
-            for v in part:  # grows while it is walked
-                fresh = sorted(adj[v] - seen, key=key.__getitem__)
-                seen.update(fresh)
-                part += fresh
-            order += part
-    return order[::-1]
+def _det_mod(terms: list[tuple[int, int, Poly]], n: int, top: int, p: int) -> list[int]:
+    """Coefficients mod p of det M, given as its nonzero entries (row, column,
+    entry), by the shift, the linearisation and the char poly of the module docstring."""
+    size = n * max(e.degree for _, _, e in terms)
+    for s in range(top + 1):
+        a = [[0] * (size + n) for _ in range(n)]  # [N_0 | N_1 | ... | N_d] of M(v + s)
+        for i, j, e in terms:
+            for k, c in enumerate(_shift(e.coeffs, s, p)):
+                a[i][k * n + j] = c
+        det0 = _gauss_jordan(a, p)  # leaves [I | K N_1 | ... | K N_d], K = N_0^-1
+        if det0:
+            break
+    else:  # det M(x) vanishes mod p at top + 1 points, more than its degree
+        return [0] * (top + 1)
+    # C: first block row -K N_1 .. -K N_d, identity blocks below (empty if M is constant)
+    c = [[-x % p for x in row[n:]] for row in a][:size]
+    c += [[int(j == i - n) for j in range(size)] for i in range(n, size)]
+    reversed_charpoly = _charpoly(c, p)[::-1]  # det(I - vC)
+    return [det0 * x % p for x in _shift(reversed_charpoly, -s, p)]
 
 
-def _det_mod(rows: list[list[tuple[int, Poly]]], x: int, p: int) -> int:
-    """det M(x) mod p from sparse rows of (column, entry): partial pivoting within
-    the lower bandwidth, updates up to the pivot row's last nonzero column,
-    and only the pivot row reduced mod p."""
-    n = len(rows)
-    a = [[0] * n for _ in rows]
-    for i, row in enumerate(rows):
-        for j, e in row:
-            a[i][j] = e.evaluate(x)
-    last = [row[-1][0] for row in rows]
-    band = max(i - row[0][0] for i, row in enumerate(rows))
-    det = 1
+def _shift(coeffs: Sequence[int], s: int, p: int) -> list[int]:
+    """Coefficients of f(x + s) mod p, low to high (Taylor shift)."""
+    c = [x % p for x in coeffs]
+    for i in range(len(c) - 1 if s else 0):
+        for k in range(len(c) - 2, i - 1, -1):
+            c[k] = (c[k] + s * c[k + 1]) % p
+    return c
+
+
+def _gauss_jordan(a: list[list[int]], p: int) -> int:
+    """det mod p of the square block that leads the rows of ``a``.  If ``a`` is
+    wider and the det is nonzero, ``a`` is left as [I | block^-1 * rest]."""
+    n, det = len(a), 1
     for k in range(n):
-        window = range(k, min(n, k + band + 1))
-        # the pivot row ends first, so no update reaches past a row's own last column
-        piv = min((r for r in window if a[r][k] % p), key=last.__getitem__, default=None)
+        piv = next((r for r in range(k, n) if a[r][k] % p), None)
         if piv is None:
             return 0
         if piv != k:
-            a[k], a[piv], last[k], last[piv], det = a[piv], a[k], last[piv], last[k], -det
-        stop = last[k] + 1
+            a[k], a[piv], det = a[piv], a[k], -det
         det = det * a[k][k] % p
         inv = pow(a[k][k], -1, p)
-        seg = [v % p for v in a[k][k + 1 : stop]]
-        for r in window[1:]:
-            f = a[r][k] * inv % p
-            if f:
-                a[r][k + 1 : stop] = [u - f * v for u, v in zip(a[r][k + 1 : stop], seg)]
-    return det
+        a[k][k:] = pivot = [x * inv % p for x in a[k][k:]]
+        for r in range(n) if len(a[0]) > n else range(k + 1, n):
+            f = a[r][k] % p
+            if f and r != k:
+                a[r][k:] = [(x - f * y) % p for x, y in zip(a[r][k:], pivot)]
+    return det % p
 
 
-def _interpolate(values: list[int], modulus: int) -> list[int]:
-    """Coefficients mod ``modulus`` of the polynomial taking values[x] at x = 0, 1, ...:
-    divided differences on unit-spaced nodes, then Horner in the Newton basis."""
-    dd = list(values)
-    for k in range(1, len(dd)):
-        inv = pow(k, -1, modulus)
-        for i in range(len(dd) - 1, k - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) * inv % modulus
-    coeffs = [dd[-1]]
-    for k in range(len(dd) - 2, -1, -1):
-        shifted = [(low - k * high) % modulus for low, high in zip(coeffs, coeffs[1:])]
-        coeffs = [(dd[k] - k * coeffs[0]) % modulus, *shifted, coeffs[-1]]
-    return coeffs
+def _charpoly(h: list[list[int]], p: int) -> list[int]:
+    """det(xI - H) mod p, low to high: Hessenberg form by similarity transforms,
+    then the Hessenberg recurrence (Cohen 1993, Algorithm 2.2.9)."""
+    n = len(h)
+    for j in range(n - 2):
+        piv = next((r for r in range(j + 1, n) if h[r][j]), None)
+        if piv is None:
+            continue
+        if piv != j + 1:
+            h[piv], h[j + 1] = h[j + 1], h[piv]
+            for row in h:
+                row[piv], row[j + 1] = row[j + 1], row[piv]
+        inv = pow(h[j + 1][j], -1, p)
+        pivot = h[j + 1][j:]
+        rs = [r for r in range(j + 2, n) if h[r][j]]
+        ts = [h[r][j] * inv % p for r in rs]
+        for r, t in zip(rs, ts):  # row r -= t * row j + 1 ...
+            h[r][j:] = [(x - t * y) % p for x, y in zip(h[r][j:], pivot)]
+        if rs:  # ... and column j + 1 += t * column r
+            get = itemgetter(*rs) if len(rs) > 1 else lambda row: (row[rs[0]],)
+            for row in h:
+                row[j + 1] = (row[j + 1] + sum(map(mul, ts, get(row)))) % p
+    cols: list[list[int]] = []  # cols[k]: coefficient k of each leading block's char poly
+    last = [1]  # the char poly of the leading m x m block
+    for m in range(n):
+        w, t = [], 1  # w[m - 1 - i]: h[i][m] times the subdiagonal from i + 1 to m
+        for i in range(m - 1, -1, -1):
+            t = t * h[i + 1][i] % p
+            w.append(h[i][m] * t % p)
+        cols.append([])
+        nxt = [(x - h[m][m] * y - sum(map(mul, w, reversed(col)))) % p for col, x, y in zip(cols, [0, *last], last)]
+        for col, c in zip(cols, last):
+            col.append(c)
+        last = nxt + [1]
+    return last
 
 
 def det(m: PolyMatrix) -> Poly:

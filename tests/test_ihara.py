@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
 import time
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -138,3 +140,22 @@ def test_routes_agree_in_the_ihara_domain(g):
     assert p == edge_matrix_inverse(g)
     assert p.degree == 2 * g.n_edges
     assert p.coefficient(0) == 1
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_both_routes_match_the_benchmark_references(monkeypatch):
+    # the benchmark's own integer determinants cross-checked these when
+    # they were made, with no code shared with the engine
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    graphs = importlib.import_module("graphs")
+    fixed = workloads.load_references()["fixed"]
+    references = {spec: entry["ihara"] for spec, entry in fixed.items() if "ihara" in entry}
+    assert len(references) == 16
+    for spec, coeffs in references.items():
+        g = parse(graphs.to_lg(workloads.build(spec, workloads.COMMITTED_SEED)))
+        expected = Poly([int(c) for c in coeffs])
+        assert ihara_inverse(g) == expected, spec
+        assert edge_matrix_inverse(g) == expected, spec

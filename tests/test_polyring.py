@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 from fractions import Fraction
+from math import prod
 from random import Random
 
 import pytest
@@ -354,3 +355,116 @@ def test_too_small_modulus_is_caught_by_the_check_node(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: internal arithmetic error: ")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+# -- det(I - uM): the pencil the Ihara routes hand the kernel -------------------
+
+
+def _pencil(m: list[list[int]]) -> PolyMatrix:
+    """I - uM for an integer matrix M."""
+    return PolyMatrix([[Poly((int(i == j), -x)) for j, x in enumerate(row)] for i, row in enumerate(m)])
+
+
+@st.composite
+def integer_matrices(draw) -> tuple[str, list[list[int]]]:
+    """Random integer matrices, plus the zero, nilpotent, permutation and
+    singular matrices whose char polys are degenerate."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    kind = draw(st.sampled_from(["random", "zero", "nilpotent", "permutation", "singular"]))
+    if kind == "permutation":
+        perm = draw(st.permutations(range(n)))
+        return kind, [[int(j == perm[i]) for j in range(n)] for i in range(n)]
+    m = [draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)) for _ in range(n)]
+    if kind == "zero":
+        m = [[0] * n for _ in range(n)]
+    elif kind == "nilpotent":  # strictly upper triangular
+        m = [[x if j > i else 0 for j, x in enumerate(row)] for i, row in enumerate(m)]
+    elif kind == "singular":  # the last row repeats a multiple of the first
+        c = draw(st.integers(-3, 3))
+        m[-1] = [c * x for x in m[0]] if n > 1 else [0]
+    return kind, m
+
+
+@given(integer_matrices(), st.lists(st.integers(min_value=-9, max_value=9), min_size=2, max_size=2))
+def test_det_of_pencils_matches_fraction_oracles(case, points):
+    kind, m = case
+    pencil = _pencil(m)
+    d = pencil.det()
+    assert d == _det_by_interpolation(pencil)
+    for x in points:
+        assert d.evaluate(x) == _fraction_det(_evaluate(pencil, x))
+    if kind in ("zero", "nilpotent"):
+        assert d == Poly.one()
+    if kind == "permutation":  # one factor 1 - u^len per cycle
+        expected, seen = Poly.one(), set()
+        for start in range(len(m)):
+            length = 0
+            while start not in seen:
+                seen.add(start)
+                start, length = m[start].index(1), length + 1
+            if length:
+                expected = expected * (1 - L**length)
+        assert d == expected
+
+
+def test_det_shifts_past_singular_values_at_zero():
+    cases = [
+        (PolyMatrix([[L, 0], [0, L]]), L**2),
+        (PolyMatrix([[L, L], [1, 2]]), L),
+        (PolyMatrix([[L * (L - 1), 0, 0], [0, L - 2, 1], [0, 0, L + 1]]), L * (L - 1) * (L - 2) * (L + 1)),
+        (PolyMatrix([[L**3, 1], [0, L**2]]), L**5),
+    ]
+    for m, expected in cases:
+        assert _fraction_det(_evaluate(m, 0)) == 0  # M(0) is singular, so s > 0
+        assert m.det() == expected == _det_by_interpolation(m)
+
+
+@given(poly_matrices())
+def test_det_with_a_column_divisible_by_x(m):
+    if m.n:
+        shifted = PolyMatrix([[e * L if j == 0 else e for j, e in enumerate(row)] for row in m.entries])
+        d = shifted.det()
+        assert d == _det_by_interpolation(shifted) == L * m.det()
+
+
+def test_det_of_matrices_singular_at_every_value():
+    for m in (
+        PolyMatrix([[L, L**2], [1, L]]),
+        PolyMatrix([[L + 1, 2 * L + 2], [3, 6]]),
+        PolyMatrix([[L, 1, L**2], [1, L, L + 1], [L + 1, L + 1, L**2 + L + 1]]),
+    ):
+        assert all(row for row in m.entries)  # no zero row to short-cut on
+        assert m.det() == Poly.zero()
+
+
+def test_det_of_a_pencil_that_needs_several_moduli():
+    rng = Random(12)
+    m = [[rng.randint(-(10**12), 10**12) for _ in range(5)] for _ in range(5)]
+    pencil = _pencil(m)
+    assert len(_moduli(_bound_squared(pencil))) >= 2
+    d = pencil.det()
+    assert d == _det_by_interpolation(pencil)
+    assert d.degree == 5 and d.coefficient(5) == -_fraction_det(m)
+
+
+def test_det_under_too_few_moduli_fails_its_check_node(monkeypatch):
+    rng = Random(12)
+    matrices = [_huge_matrix(Random(4), 4), _pencil([[rng.randint(-(10**12), 10**12) for _ in range(5)] for _ in range(5)])]
+    small = 2**61 - 1
+    for m in matrices:  # the true det has a coefficient that one prime cannot lift
+        assert max(map(abs, _det_by_interpolation(m).coeffs)) > small // 2
+    monkeypatch.setattr(polyring, "_moduli", lambda h2: [small])
+    for m in matrices:
+        with pytest.raises(ExactDivisionError, match="check node"):
+            m.det()
+
+
+def test_det_refuses_a_bound_past_the_moduli_table():
+    with pytest.raises(ValueError, match="bound of 16610 bits is past the moduli table"):
+        PolyMatrix([[10**5000, 0], [0, 1]]).det()
+    table = prod(polyring._MODULI)
+    largest = (table - 1) // 2  # the largest |det| that the whole table lifts
+    assert PolyMatrix([[largest]]).det() == Poly.const(largest)
+    assert PolyMatrix([[-largest]]).det() == Poly.const(-largest)
+    with pytest.raises(ValueError, match="past the moduli table"):
+        PolyMatrix([[largest + 1]]).det()
