@@ -356,8 +356,8 @@ def _gauss_jordan(a: list[list[int]], p: int) -> int:
 
 
 def _charpoly(h: list[list[int]], p: int) -> list[int]:
-    """det(xI - H) mod p, low to high: Hessenberg form by similarity transforms,
-    then the Hessenberg recurrence (Cohen 1993, Algorithm 2.2.9)."""
+    """det(xI - H) mod p, low to high: H is put in Hessenberg form in place by
+    similarity transforms, then the Hessenberg recurrence (Cohen 1993, Alg. 2.2.9)."""
     n = len(h)
     for j in range(n - 2):
         piv = next((r for r in range(j + 1, n) if h[r][j]), None)

@@ -437,9 +437,13 @@ def test_det_of_matrices_singular_at_every_value():
         assert m.det() == Poly.zero()
 
 
-def test_det_of_a_pencil_that_needs_several_moduli():
+def _wide_integer_matrix() -> list[list[int]]:
     rng = Random(12)
-    m = [[rng.randint(-(10**12), 10**12) for _ in range(5)] for _ in range(5)]
+    return [[rng.randint(-(10**12), 10**12) for _ in range(5)] for _ in range(5)]
+
+
+def test_det_of_a_pencil_that_needs_several_moduli():
+    m = _wide_integer_matrix()
     pencil = _pencil(m)
     assert len(_moduli(_bound_squared(pencil))) >= 2
     d = pencil.det()
@@ -448,8 +452,7 @@ def test_det_of_a_pencil_that_needs_several_moduli():
 
 
 def test_det_under_too_few_moduli_fails_its_check_node(monkeypatch):
-    rng = Random(12)
-    matrices = [_huge_matrix(Random(4), 4), _pencil([[rng.randint(-(10**12), 10**12) for _ in range(5)] for _ in range(5)])]
+    matrices = [_huge_matrix(Random(4), 4), _pencil(_wide_integer_matrix())]
     small = 2**61 - 1
     for m in matrices:  # the true det has a coefficient that one prime cannot lift
         assert max(map(abs, _det_by_interpolation(m).coeffs)) > small // 2
