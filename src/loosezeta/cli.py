@@ -38,8 +38,8 @@ EXIT_VERIFY = 3
 DEFAULT_BUDGET = 10_000_000
 
 BUDGET_HELP = (
-    "most chart keys one count may generate (default %(default)s); it bounds keys, "
-    "not memory: each key held costs about 100 B of RSS, so the default allows about 1 GB"
+    "most chart keys one count may generate (default %(default)s); the keys are counted "
+    "in small disjoint parts, so memory is bounded by one part, not by the budget"
 )
 
 
@@ -173,19 +173,20 @@ def _cmd_verify(g: LooseGraph, primes: list[int], budget: int, as_json: bool) ->
 def _cmd_trace(g: LooseGraph, as_json: bool) -> int:
     trace = surgery_trace(g)
     if as_json:
+        # the array json.dumps would write, one row's text live at a time
         texts = serialize_restoring(trace.final_tree, [step.resolved_edge for step in trace.steps])
         tree_class = trace.final_tree_class.to_json()
-        rows = [{"graph": texts[0], "resolvedEdge": None, "delta": None, "running": tree_class}]
-        rows.extend(
-            {
+        out = sys.stdout
+        out.write("[" + json.dumps({"graph": next(texts), "resolvedEdge": None, "delta": None, "running": tree_class}))
+        for text, step in zip(texts, trace.steps):
+            row = {
                 "graph": text,
                 "resolvedEdge": list(step.resolved_edge),
                 "delta": step.delta.to_json(),
                 "running": step.running_class.to_json(),
             }
-            for text, step in zip(texts[1:], trace.steps)
-        )
-        print(json.dumps(rows))
+            out.write(", " + json.dumps(row))
+        out.write("]\n")
         return EXIT_OK
     lines = [f"tree: class = {format_poly(trace.final_tree_class, 'L')}"]
     for i, step in enumerate(trace.steps, start=1):

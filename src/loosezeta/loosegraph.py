@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import combinations
 from operator import attrgetter
 from random import Random
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .polyring import L, Poly
 
@@ -273,20 +273,20 @@ def parse(text: str, strict: bool = False) -> LooseGraph:
 
 def serialize(g: LooseGraph) -> str:
     """Canonical `.lg` text: vertices sorted, then edges sorted."""
-    return serialize_restoring(g, ())[0]
+    return next(serialize_restoring(g, ()))
 
 
-def serialize_restoring(g: LooseGraph, restored: Iterable[tuple[str, str]]) -> list[str]:
-    """serialize() of ``g``, then of ``g`` with each edge of ``restored`` put
-    back in turn and one loose edge taken from each of its endpoints; each
-    text is updated from the one before, with no graph built.  Every restored
-    edge must be new and have a loose edge at each endpoint."""
+def serialize_restoring(g: LooseGraph, restored: Iterable[tuple[str, str]]) -> Iterator[str]:
+    """Yield serialize() of ``g``, then of ``g`` with each edge of ``restored``
+    put back in turn and one loose edge taken from each of its endpoints;
+    each text is updated from the one before, with no graph built.  Every
+    restored edge must be new and have a loose edge at each endpoint."""
     head, tail = "".join(f"vertex {v}\n" for v in sorted(g.vertices)), "free\n" * g.free
     edges = sorted(g.edges)
     edge_lines = [f"edge {a} {b}\n" for a, b in edges]
     loose = dict(g._loose_counts)  # sorted by vertex, as build() keeps it
     loose_lines = {v: f"loose {v}\n" * k for v, k in loose.items()}
-    texts = [head + "".join(edge_lines) + "".join(loose_lines.values()) + tail]
+    yield head + "".join(edge_lines) + "".join(loose_lines.values()) + tail
     for a, b in restored:
         e = _norm_edge(a, b)
         i = bisect(edges, e)
@@ -295,8 +295,7 @@ def serialize_restoring(g: LooseGraph, restored: Iterable[tuple[str, str]]) -> l
         for v in e:
             loose[v] -= 1
             loose_lines[v] = f"loose {v}\n" * loose[v]
-        texts.append(head + "".join(edge_lines) + "".join(loose_lines.values()) + tail)
-    return texts
+        yield head + "".join(edge_lines) + "".join(loose_lines.values()) + tail
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,28 @@
 """Brute-force rational point counting over small prime fields.
 
-Independent oracle for the symbolic engine.  count_points() inserts the key
-sum x_i p^i (first nonzero x_i scaled to 1) of every point of every vertex
-chart (x_v = 1, support in v's closed star and phantoms) into one set: p^v
-+ T(after v) where v leads, and s p^v + p^d + T(dirs after d) for each s in
-1..p-1 where an earlier direction d leads, T(D) being all sums sum w_i p^i
-over w in F_p^D.  All sum p^deg(v) keys are generated (estimated_work()).
+Independent oracle for the symbolic engine.  count_points() keys every point
+of every vertex chart (x_v = 1, support in v's closed star and phantoms) by
+sum x_i p^i, first nonzero x_i scaled to 1, and counts the distinct keys.
+The coordinate of that first nonzero x_i, the lead, is always a vertex L.
+Keys with lead L come from chart L, p^L + T(dirs(L) after L), and from each
+later neighbour u, s p^u + p^L + T(dirs(u) after L) for s in 1..p-1, T(D)
+being all sums sum w_i p^i over w in F_p^D.  A lead's keys are split into
+disjoint parts by their digits on split coordinates until every table fits
+TABLE_CAP, and each part is counted in its own set, so memory is bounded by
+one part.  All sum p^deg(v) keys are still generated (estimated_work()).
 """
 
 from __future__ import annotations
+
+from bisect import bisect
 
 from .grothendieck import class_polynomial
 from .loosegraph import LooseGraph, ambient_space, value_class
 
 DEFAULT_PRIME_BOUND = 13
 DEFAULT_BUDGET = 10_000_000
-#: Sums per table; bounds the memory a chart adds to the point set.
-TABLE_CAP = 1024
+#: Most sums in one chart's table within a part; bounds the part's set.
+TABLE_CAP = 2048
 
 
 class BudgetError(ValueError):
@@ -61,45 +67,94 @@ def _check_limits(g: LooseGraph, p: int, budget: int) -> None:
         raise BudgetError(f"count_points(): estimated work {work} exceeds budget {budget}")
 
 
-def _grow(table: list[int], offsets: list[int], step: int, p: int) -> tuple[list[int], list[int]]:
-    """T(D + {d}) from T(D) = table + offsets, where step = p^d.  Once the
-    table holds TABLE_CAP sums it stays, and the offsets grow instead."""
-    small = len(table) < TABLE_CAP
-    sums = table if small else offsets
-    grown = sums[:]
-    for w in range(1, p):
-        grown += map((w * step).__add__, sums)
-    return (grown, offsets) if small else (table, grown)
+def _keys(bases: list[int], dirs: list[int], ppow: list[int], p: int) -> list[int]:
+    """bases + T(dirs): each base plus each sum sum w_i p^i over w in F_p^dirs."""
+    for i in dirs:
+        bases = [b + w for w in range(0, ppow[i + 1], ppow[i]) for b in bases]
+    return bases
+
+
+def _split(charts: list, width: int, n: int) -> list[int]:
+    """Split coordinates of one lead: vertex coordinates, then phantoms,
+    highest index first, each taken while a chart that has it still keeps
+    more than ``width`` directions out of the split."""
+    excess = [len(dirs) - width for _, _, dirs in charts]
+    members = [set(dirs) for _, _, dirs in charts]
+    split = []
+    for i in sorted(set().union(*members), key=lambda i: (i >= n, -i)):
+        hit = [j for j, m in enumerate(members) if excess[j] > 0 and i in m]
+        if hit:
+            split.append(i)
+            for j in hit:
+                excess[j] -= 1
+    return split
+
+
+def _parts(charts: list, split: list[int], ppow: list[int], p: int):
+    """The keys of each nonempty part of one lead's charts, as a list of
+    iterables; a part is the keys with the same digits on the split."""
+    # a block is base + T(dirs outside the split), with x_u = s fixed
+    blocks = []
+    for u, bases, dirs in charts:
+        free = set(split).intersection(dirs)
+        table = _keys([0], [i for i in dirs if i not in free], ppow, p)
+        blocks += [(b, free, table, u, s) for s, b in enumerate(bases, 1)]
+    stack = [(blocks, 0)]
+    while stack:
+        blocks, depth = stack.pop()
+        if depth == len(split):
+            yield [map(base.__add__, table) for base, _, table, _, _ in blocks]
+            continue
+        i = split[depth]
+        groups: list[list] = [[] for _ in range(p)]
+        for block in blocks:
+            base, free, table, u, s = block
+            if i in free:
+                groups[0].append(block)
+                for w in range(1, p):
+                    groups[w].append((base + w * ppow[i], free, table, u, s))
+            else:
+                groups[s if i == u else 0].append(block)
+        stack.extend((group, depth + 1) for group in groups if group)
 
 
 def count_points(g: LooseGraph, p: int, budget: int = DEFAULT_BUDGET) -> int:
     """Exact number of F_p-rational points of the scheme attached to g."""
     _check_limits(g, p, budget)
     index = {name: i for i, name in enumerate(ambient_space(g).coordinates)}
-    ppow = [p**i for i in range(len(index))]
-    # phantom coordinate indices of each vertex's loose edges
-    phantoms = {v: [index[f"{v}#loose{i}"] for i in range(k)] for v, k in g.loose}
-
-    points: set[int] = set()
+    ppow = [p**i for i in range(len(index) + 1)]
+    n = g.n_vertices
     adjacency = g._neighbor_map
-    for v in g.vertices:
-        base = ppow[index[v]]
-        dirs = sorted([index[u] for u in adjacency[v]] + phantoms.get(v, []))
-        before = [i for i in dirs if i < index[v]]
-        table, offsets = [0], [0]
-        for i in dirs[len(before) :]:
-            table, offsets = _grow(table, offsets, ppow[i], p)
-        for o in offsets:
-            points.update(map((base + o).__add__, table))
-        for j in reversed(range(len(before))):
-            lead = ppow[before[j]]
-            for s in range(1, p):
-                for o in offsets:
-                    points.update(map((s * base + lead + o).__add__, table))
-            if j:
-                table, offsets = _grow(table, offsets, lead, p)
+    # dirs[v]: sorted coordinates of vertex v's neighbours, then its phantoms
+    dirs = [sorted(index[u] for u in adjacency[v]) for v in g.vertices]
+    for v, k in g.loose:
+        dirs[index[v]] += [index[f"{v}#loose{i}"] for i in range(k)]
+    width = 0
+    while p ** (width + 1) <= TABLE_CAP:
+        width += 1
+    # parts are disjoint, so one set may hold several: it is counted and
+    # dropped once it holds TABLE_CAP keys, before the next part goes in
+    counted, points = 0, set()
+    for lead in range(n):
+        # the chart at lead, and each later neighbour u's chart with x_lead = 1
+        charts = [(lead, [ppow[lead]], dirs[lead][bisect(dirs[lead], lead) :])]
+        charts += [
+            (u, [s * ppow[u] + ppow[lead] for s in range(1, p)], dirs[u][bisect(dirs[u], lead) :])
+            for u in charts[0][2]
+            if u < n
+        ]
+        if max(len(after) for _, _, after in charts) <= width:
+            parts = ([_keys(bases, after, ppow, p) for _, bases, after in charts],)
+        else:
+            parts = _parts(charts, _split(charts, width, n), ppow, p)
+        for part in parts:
+            if len(points) >= TABLE_CAP:
+                counted += len(points)
+                points = set()
+            for keys in part:
+                points.update(keys)
     # free edges live on their own pair of coordinates, disjoint from all charts
-    return len(points) + g.free * (p - 1)
+    return counted + len(points) + g.free * (p - 1)
 
 
 @value_class

@@ -1,15 +1,18 @@
-"""The paper's cone and local-class objects, kept for the tests.
+"""The paper's cone and local-class objects, kept for the tests, and the
+point-count oracle as one set.
 
 The engine computes a resolution difference from three chart classes of
 the edge neighborhood and never builds a cone or a local restriction.
 These objects state the paper's own formulas, so the tests check the
-engine against them.
+engine against them.  The oracle counts one lead's keys in parts; the
+one-set enumeration here holds every key at once, so the tests check the
+split against it.
 """
 
 from __future__ import annotations
 
 from loosezeta.grothendieck import class_polynomial
-from loosezeta.loosegraph import LooseGraph, LooseGraphError, induced, reduce, resolve
+from loosezeta.loosegraph import LooseGraph, LooseGraphError, ambient_space, induced, reduce, resolve
 from loosezeta.polyring import L, Poly
 
 
@@ -65,3 +68,33 @@ def local_after(g: LooseGraph, edge: tuple[str, str]) -> Poly:
     if not g.is_reduced():
         raise LooseGraphError("local_after(): graph must be reduced")
     return class_polynomial(resolve(_restricted(g, edge), edge))
+
+
+def count_points_one_set(g: LooseGraph, p: int) -> int:
+    """F_p-points of g as one set of keys sum x_i p^i, first nonzero x_i
+    scaled to 1: p^v + T(after v) where v leads, and s p^v + p^d + T(dirs
+    after d) for each s in 1..p-1 where an earlier direction d leads, T(D)
+    being all sums sum w_i p^i over w in F_p^D."""
+    index = {name: i for i, name in enumerate(ambient_space(g).coordinates)}
+    ppow = [p**i for i in range(len(index))]
+    phantoms = {v: [index[f"{v}#loose{i}"] for i in range(k)] for v, k in g.loose}
+
+    def grow(table: list[int], step: int) -> list[int]:
+        return [x + w * step for w in range(p) for x in table]
+
+    points: set[int] = set()
+    adjacency = g.adjacency()
+    for v in g.vertices:
+        base = ppow[index[v]]
+        dirs = sorted([index[u] for u in adjacency[v]] + phantoms.get(v, []))
+        before = [i for i in dirs if i < index[v]]
+        table = [0]
+        for i in dirs[len(before) :]:
+            table = grow(table, ppow[i])
+        points.update(base + x for x in table)
+        for j in reversed(range(len(before))):
+            lead = ppow[before[j]]
+            points.update(s * base + lead + x for s in range(1, p) for x in table)
+            table = grow(table, lead)
+    # free edges live on their own pair of coordinates, disjoint from all charts
+    return len(points) + g.free * (p - 1)

@@ -7,10 +7,11 @@ from random import Random
 from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import K4_STAR_LG, STEP5_GRAPH_LG, corpus_graphs, loose_graphs, random_loose_graph
+from paper_objects import count_points_one_set
 from loosezeta import (
     LooseGraph,
     class_polynomial,
@@ -127,6 +128,38 @@ def test_count_matches_definition(g, p, cap):
     # small caps move directions from the table into the offsets
     with patch.object(pointcount, "TABLE_CAP", cap):
         assert count_points(g, p) == count_from_definition(g, p)
+
+
+HEXLOOSE = LooseGraph.build(
+    generate("hexahedron").vertices, generate("hexahedron").edges, {"000": 2, "011": 1, "111": 2}, 1
+)
+
+
+@st.composite
+def dense_loose_graphs(draw) -> LooseGraph:
+    """Graphs on 5-9 vertices missing a few edges, with loose and free
+    edges: degrees high enough that the default cap splits at p >= 3."""
+    n = draw(st.integers(5, 9))
+    vs = [f"v{i}" for i in range(n)]
+    pairs = [(a, b) for i, a in enumerate(vs) for b in vs[i + 1 :]]
+    missing = set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+    loose = draw(st.dictionaries(st.sampled_from(vs), st.integers(1, 2)))
+    return LooseGraph.build(vs, [e for e in pairs if e not in missing], loose, draw(st.integers(0, 2)))
+
+
+@given(
+    loose_graphs(max_vertices=9) | dense_loose_graphs(),
+    st.sampled_from([2, 3, 5, 7]),
+    st.sampled_from([1, 4, pointcount.TABLE_CAP]),
+)
+@example(HEXLOOSE, 5, 4)
+@example(generate("complete", 8), 3, pointcount.TABLE_CAP)
+@settings(max_examples=200)
+def test_split_count_matches_one_set(g, p, cap):
+    # most of these graphs have too many coordinates for count_from_definition
+    assume(estimated_work(g, p) <= 40_000)
+    with patch.object(pointcount, "TABLE_CAP", cap):
+        assert count_points(g, p) == count_points_one_set(g, p)
 
 
 def test_verify_k5():

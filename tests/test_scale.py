@@ -5,6 +5,7 @@ trace."""
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -119,16 +120,43 @@ def test_grid_trace_agrees_with_class(n):
     assert trace.result_class == p
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
+def cli_command(*args: str) -> tuple[list[str], dict[str, str]]:
     src = str(Path(loosezeta.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run(
-        [sys.executable, "-m", "loosezeta", *args],
+    return [sys.executable, "-m", "loosezeta", *args], env
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    command, env = cli_command(*args)
+    return subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
+
+
+# A child's ru_maxrss starts at the RSS of the process that forked it, so a
+# small launcher forks the CLI and reports that child's own peak, read by
+# os.wait4 (RUSAGE_CHILDREN would also take in earlier children).
+PEAK_RSS_LAUNCHER = """
+import os, subprocess, sys
+with open(sys.argv[1], "w") as out:
+    proc = subprocess.Popen(sys.argv[2:], stdout=out)
+    _, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def run_cli_peak_rss(stdout: Path, *args: str) -> tuple[int, str, float]:
+    """Run the CLI as a child writing to ``stdout``; return its exit code,
+    its stderr and its peak RSS in MB."""
+    command, env = cli_command(*args)
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_LAUNCHER, str(stdout), *command],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kb = map(int, proc.stdout.split())
+    return code, proc.stderr, peak_kb / 1024  # ru_maxrss is in kilobytes on Linux
 
 
 def test_cli_class_on_grid_20(tmp_path):
@@ -236,3 +264,46 @@ def test_ihara_edge_route_on_johnson_6_3_matches_vertex_route():
     with within(4.0):
         p = edge_matrix_inverse(g)
     assert p == ihara_inverse(g)
+
+
+# Memory: the oracle holds one part of one lead's keys at a time, and
+# trace --json writes its array one row at a time.  Holding every key at
+# once, hexloose at q 13 peaked at 92 MB and johnson 5 2 at q 7 at 83 MB;
+# holding every row, trace --json on grid 30x30 peaked at 133 MB.  A trivial
+# CLI call takes about 16 MB.
+PEAK_RSS_MB = 40
+
+linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kilobytes on Linux")
+
+
+def hexloose() -> LooseGraph:
+    """The cube with loose edges at three corners and one free edge."""
+    cube = generate("hexahedron")
+    return LooseGraph.build(cube.vertices, cube.edges, {"000": 2, "011": 1, "111": 2}, 1)
+
+
+@linux_only
+@pytest.mark.parametrize(
+    "make, q", [(hexloose, 13), (lambda: generate("johnson", 5, 2), 7)], ids=["hexloose_q13", "johnson_5_2_q7"]
+)
+def test_count_memory_is_bounded_by_one_part(tmp_path, make, q):
+    g = make()
+    path = tmp_path / "g.lg"
+    path.write_text(serialize(g))
+    code, err, peak = run_cli_peak_rss(tmp_path / "out.txt", "count", "--q", str(q), str(path))
+    assert code == 0, err
+    assert int((tmp_path / "out.txt").read_text()) == class_polynomial(g).evaluate(q)
+    assert peak < PEAK_RSS_MB, f"peak RSS {peak:.1f} MB"
+
+
+@linux_only
+def test_trace_json_memory_is_bounded_by_one_row(tmp_path):
+    g = grid(30, 30)
+    path = tmp_path / "grid30.lg"
+    path.write_text(serialize(g))
+    code, err, peak = run_cli_peak_rss(tmp_path / "out.json", "trace", "--json", str(path))
+    assert code == 0, err
+    rows = json.loads((tmp_path / "out.json").read_text())
+    assert len(rows) == 29 * 29 + 1
+    assert rows[-1]["running"] == class_polynomial(g).to_json()
+    assert peak < PEAK_RSS_MB, f"peak RSS {peak:.1f} MB"

@@ -255,7 +255,7 @@ def test_trace_row_texts_match_serialized_snapshots(g, seed):
         expected = [serialize(trace.final_tree)]
         expected += [serialize(trace.graph_before(i)) for i in range(len(trace.steps))]
         restored = [step.resolved_edge for step in trace.steps]
-        assert serialize_restoring(trace.final_tree, restored) == expected
+        assert list(serialize_restoring(trace.final_tree, restored)) == expected
         # the same edges given as (larger, smaller) label pairs
         flipped = [(b, a) for a, b in restored]
-        assert serialize_restoring(trace.final_tree, flipped) == expected
+        assert list(serialize_restoring(trace.final_tree, flipped)) == expected
