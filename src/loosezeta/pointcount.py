@@ -15,6 +15,9 @@ one part.  All sum p^deg(v) keys are still generated (estimated_work()).
 from __future__ import annotations
 
 from bisect import bisect
+from itertools import accumulate, repeat
+from operator import mul
+from typing import Iterable
 
 from .grothendieck import class_polynomial
 from .loosegraph import LooseGraph, ambient_space, value_class
@@ -67,7 +70,7 @@ def _check_limits(g: LooseGraph, p: int, budget: int) -> None:
         raise BudgetError(f"count_points(): estimated work {work} exceeds budget {budget}")
 
 
-def _keys(bases: list[int], dirs: list[int], ppow: list[int], p: int) -> list[int]:
+def _keys(bases: Iterable[int], dirs: list[int], ppow: list[int], p: int) -> Iterable[int]:
     """bases + T(dirs): each base plus each sum sum w_i p^i over w in F_p^dirs."""
     for i in dirs:
         bases = [b + w for w in range(0, ppow[i + 1], ppow[i]) for b in bases]
@@ -122,7 +125,7 @@ def count_points(g: LooseGraph, p: int, budget: int = DEFAULT_BUDGET) -> int:
     """Exact number of F_p-rational points of the scheme attached to g."""
     _check_limits(g, p, budget)
     index = {name: i for i, name in enumerate(ambient_space(g).coordinates)}
-    ppow = [p**i for i in range(len(index) + 1)]
+    ppow = list(accumulate(repeat(p, len(index)), mul, initial=1))  # p^0 .. p^N
     n = g.n_vertices
     adjacency = g._neighbor_map
     # dirs[v]: sorted coordinates of vertex v's neighbours, then its phantoms
@@ -137,9 +140,10 @@ def count_points(g: LooseGraph, p: int, budget: int = DEFAULT_BUDGET) -> int:
     counted, points = 0, set()
     for lead in range(n):
         # the chart at lead, and each later neighbour u's chart with x_lead = 1
-        charts = [(lead, [ppow[lead]], dirs[lead][bisect(dirs[lead], lead) :])]
+        one = ppow[lead]
+        charts = [(lead, (one,), dirs[lead][bisect(dirs[lead], lead) :])]
         charts += [
-            (u, [s * ppow[u] + ppow[lead] for s in range(1, p)], dirs[u][bisect(dirs[u], lead) :])
+            (u, range(ppow[u] + one, ppow[u + 1] + one, ppow[u]), dirs[u][bisect(dirs[u], lead) :])
             for u in charts[0][2]
             if u < n
         ]

@@ -162,6 +162,25 @@ def test_split_count_matches_one_set(g, p, cap):
         assert count_points(g, p) == count_points_one_set(g, p)
 
 
+@pytest.mark.parametrize("cap", [64, pointcount.TABLE_CAP])
+@pytest.mark.parametrize(
+    "g, p",
+    [(HEXLOOSE, 13), (generate("johnson", 5, 2), 7), (generate("complete", 8), 3)],
+    ids=["hexloose_13", "johnson_5_2_7", "k8_3"],
+)
+def test_every_table_fits_the_cap(g, p, cap):
+    sizes = []
+    keys = pointcount._keys
+
+    def recording(bases, dirs, ppow, p):
+        sizes.append(p ** len(dirs))
+        return keys(bases, dirs, ppow, p)
+
+    with patch.object(pointcount, "TABLE_CAP", cap), patch.object(pointcount, "_keys", recording):
+        assert count_points(g, p) == class_polynomial(g).evaluate(p)
+    assert sizes and max(sizes) <= cap
+
+
 def test_verify_k5():
     report = verify(generate("complete", 5), [2, 3, 5])
     assert report.ok
