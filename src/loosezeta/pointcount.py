@@ -17,7 +17,6 @@ from __future__ import annotations
 from bisect import bisect
 from itertools import accumulate, repeat
 from operator import mul
-from typing import Iterable
 
 from .grothendieck import class_polynomial
 from .loosegraph import LooseGraph, ambient_space, value_class
@@ -70,10 +69,11 @@ def _check_limits(g: LooseGraph, p: int, budget: int) -> None:
         raise BudgetError(f"count_points(): estimated work {work} exceeds budget {budget}")
 
 
-def _keys(bases: Iterable[int], dirs: list[int], ppow: list[int], p: int) -> Iterable[int]:
+def _keys(bases: list[int], dirs: list[int], ppow: list[int], p: int) -> list[int]:
     """bases + T(dirs): each base plus each sum sum w_i p^i over w in F_p^dirs."""
     for i in dirs:
-        bases = [b + w for w in range(0, ppow[i + 1], ppow[i]) for b in bases]
+        # w runs over 0, p^i, ..., (p-1) p^i
+        bases = [b + w for w in accumulate(repeat(ppow[i], p - 1), initial=0) for b in bases]
     return bases
 
 
@@ -125,7 +125,7 @@ def count_points(g: LooseGraph, p: int, budget: int = DEFAULT_BUDGET) -> int:
     """Exact number of F_p-rational points of the scheme attached to g."""
     _check_limits(g, p, budget)
     index = {name: i for i, name in enumerate(ambient_space(g).coordinates)}
-    ppow = list(accumulate(repeat(p, len(index)), mul, initial=1))  # p^0 .. p^N
+    ppow = list(accumulate(repeat(p, len(index) - 1), mul, initial=1))  # p^0 .. p^(N-1)
     n = g.n_vertices
     adjacency = g._neighbor_map
     # dirs[v]: sorted coordinates of vertex v's neighbours, then its phantoms
@@ -143,7 +143,7 @@ def count_points(g: LooseGraph, p: int, budget: int = DEFAULT_BUDGET) -> int:
         one = ppow[lead]
         charts = [(lead, (one,), dirs[lead][bisect(dirs[lead], lead) :])]
         charts += [
-            (u, range(ppow[u] + one, ppow[u + 1] + one, ppow[u]), dirs[u][bisect(dirs[u], lead) :])
+            (u, [one + s * ppow[u] for s in range(1, p)], dirs[u][bisect(dirs[u], lead) :])
             for u in charts[0][2]
             if u < n
         ]
