@@ -175,9 +175,10 @@ def _cmd_trace(g: LooseGraph, as_json: bool) -> int:
     if as_json:
         # the array json.dumps would write, one row's text live at a time
         texts = serialize_restoring(trace.final_tree, [step.resolved_edge for step in trace.steps])
-        tree_class = trace.final_tree_class.to_json()
+        first = {"graph": next(texts), "resolvedEdge": None, "delta": None}
+        first["running"] = trace.final_tree_class.to_json()
         out = sys.stdout
-        out.write("[" + json.dumps({"graph": next(texts), "resolvedEdge": None, "delta": None, "running": tree_class}))
+        out.write("[" + json.dumps(first))
         for text, step in zip(texts, trace.steps):
             row = {
                 "graph": text,

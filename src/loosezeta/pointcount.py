@@ -139,9 +139,10 @@ def count_points(g: LooseGraph, p: int, budget: int = DEFAULT_BUDGET) -> int:
     # dropped once it holds TABLE_CAP keys, before the next part goes in
     counted, points = 0, set()
     for lead in range(n):
-        # the chart at lead, and each later neighbour u's chart with x_lead = 1
+        # (u, bases, dirs(u) after lead) of the chart at lead, base p^lead, and
+        # of each later neighbour u's chart, bases s p^u + p^lead for x_u = s
         one = ppow[lead]
-        charts = [(lead, (one,), dirs[lead][bisect(dirs[lead], lead) :])]
+        charts = [(lead, [one], dirs[lead][bisect(dirs[lead], lead) :])]
         charts += [
             (u, [one + s * ppow[u] for s in range(1, p)], dirs[u][bisect(dirs[u], lead) :])
             for u in charts[0][2]

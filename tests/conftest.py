@@ -112,6 +112,12 @@ STEP5_AFTER = (2, 1, -1, 1, 2)
 STEP5_DELTA = (0, 1, -2, 0, 1)
 
 
+def hexloose() -> LooseGraph:
+    """The cube with loose edges at three corners and one free edge."""
+    cube = generate("hexahedron")
+    return LooseGraph.build(cube.vertices, cube.edges, {"000": 2, "011": 1, "111": 2}, 1)
+
+
 def poly(coeffs) -> Poly:
     return Poly(coeffs)
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import K4_STAR_LG, STEP5_GRAPH_LG, corpus_graphs, loose_graphs, random_loose_graph
+from conftest import K4_STAR_LG, STEP5_GRAPH_LG, corpus_graphs, hexloose, loose_graphs, random_loose_graph
 from paper_objects import count_points_one_set
 from loosezeta import (
     LooseGraph,
@@ -130,11 +130,6 @@ def test_count_matches_definition(g, p, cap):
         assert count_points(g, p) == count_from_definition(g, p)
 
 
-HEXLOOSE = LooseGraph.build(
-    generate("hexahedron").vertices, generate("hexahedron").edges, {"000": 2, "011": 1, "111": 2}, 1
-)
-
-
 @st.composite
 def dense_loose_graphs(draw) -> LooseGraph:
     """Graphs on 5-9 vertices missing a few edges, with loose and free
@@ -152,7 +147,7 @@ def dense_loose_graphs(draw) -> LooseGraph:
     st.sampled_from([2, 3, 5, 7]),
     st.sampled_from([1, 4, pointcount.TABLE_CAP]),
 )
-@example(HEXLOOSE, 5, 4)
+@example(hexloose(), 5, 4)
 @example(generate("complete", 8), 3, pointcount.TABLE_CAP)
 @settings(max_examples=200)
 def test_split_count_matches_one_set(g, p, cap):
@@ -165,7 +160,7 @@ def test_split_count_matches_one_set(g, p, cap):
 @pytest.mark.parametrize("cap", [64, pointcount.TABLE_CAP])
 @pytest.mark.parametrize(
     "g, p",
-    [(HEXLOOSE, 13), (generate("johnson", 5, 2), 7), (generate("complete", 8), 3)],
+    [(hexloose(), 13), (generate("johnson", 5, 2), 7), (generate("complete", 8), 3)],
     ids=["hexloose_13", "johnson_5_2_7", "k8_3"],
 )
 def test_every_table_fits_the_cap(g, p, cap):

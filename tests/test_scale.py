@@ -18,6 +18,7 @@ from random import Random
 import pytest
 
 import loosezeta
+from conftest import hexloose
 from loosezeta import (
     IharaDomainError,
     LooseGraph,
@@ -269,22 +270,20 @@ def test_ihara_edge_route_on_johnson_6_3_matches_vertex_route():
 # Memory: the oracle holds one part of one lead's keys at a time, and
 # trace --json writes its array one row at a time.  Holding every key at
 # once, hexloose at q 13 peaked at 92 MB and johnson 5 2 at q 7 at 83 MB;
-# holding every row, trace --json on grid 30x30 peaked at 133 MB.  A trivial
+# holding every row, trace --json on grid 30x30 peaked at 136 MB.  A trivial
 # CLI call takes about 16 MB.
 PEAK_RSS_MB = 40
 
-linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kilobytes on Linux")
-
-
-def hexloose() -> LooseGraph:
-    """The cube with loose edges at three corners and one free edge."""
-    cube = generate("hexahedron")
-    return LooseGraph.build(cube.vertices, cube.edges, {"000": 2, "011": 1, "111": 2}, 1)
+linux_only = pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="ru_maxrss is in kilobytes on Linux"
+)
 
 
 @linux_only
 @pytest.mark.parametrize(
-    "make, q", [(hexloose, 13), (lambda: generate("johnson", 5, 2), 7)], ids=["hexloose_q13", "johnson_5_2_q7"]
+    "make, q",
+    [(hexloose, 13), (lambda: generate("johnson", 5, 2), 7)],
+    ids=["hexloose_q13", "johnson_5_2_q7"],
 )
 def test_count_memory_is_bounded_by_one_part(tmp_path, make, q):
     g = make()
