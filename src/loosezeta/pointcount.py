@@ -148,11 +148,7 @@ def count_points(g: LooseGraph, p: int, budget: int = DEFAULT_BUDGET) -> int:
             for u in charts[0][2]
             if u < n
         ]
-        if max(len(after) for _, _, after in charts) <= width:
-            parts = ([_keys(bases, after, ppow, p) for _, bases, after in charts],)
-        else:
-            parts = _parts(charts, _split(charts, width, n), ppow, p)
-        for part in parts:
+        for part in _parts(charts, _split(charts, width, n), ppow, p):
             if len(points) >= TABLE_CAP:
                 counted += len(points)
                 points = set()

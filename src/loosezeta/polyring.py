@@ -12,19 +12,18 @@ only matters when formatting.
 Determinants of polynomial matrices come from one modular kernel.  On
 |z| = 1 each |M_ij(z)| <= |M_ij|_1, so by Hadamard's inequality and
 Cauchy's coefficient bound every coefficient of det M is at most H, where
-H^2 = prod_i sum_j |M_ij|_1^2.  Modulo each Mersenne prime of a set with
-product P > 2H, x = v + s shifts to the first s = 0..D (D the degree
+H^2 = prod_i sum_j |M_ij|_1^2.  Modulo the smallest Mersenne prime p of
+a table with p > 2H, x = v + s shifts to the first s = 0..D (D the degree
 bound) with M(s) invertible, else det M = 0 mod p.  For M(v + s) = sum
 N_k v^k, det M(v + s) = det N_0 det(I - vC) with the block companion C
 of first block row -N_0^-1 N_k and identity blocks below: the reversed
-char poly of C, by Hessenberg reduction (Cohen 1993, 2.2.4).  CRT and
-the lift to (-P/2, P/2) are exact; det M(D + 1) by plain elimination
-under an independent prime checks the result.
+char poly of C, by Hessenberg reduction (Cohen 1993, 2.2.4).  The lift
+to (-p/2, p/2) is exact; det M(D + 1) by plain elimination under an
+independent prime checks the result.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
 from math import prod
 from operator import itemgetter, mul
 from typing import Iterable, Sequence
@@ -269,24 +268,22 @@ class PolyMatrix:
             raise ValueError(f"determinant bound of {h2.bit_length() // 2} bits is past the moduli table")
         top = sum(max(e.degree for e in row) for row in self.entries)
         terms = [(i, j, e) for i, row in enumerate(self.entries) for j, e in enumerate(row) if e]
-        coeffs, product = [0] * (top + 1), 1
-        for p in _moduli(h2):  # CRT, one prime at a time
-            inv = pow(product, -1, p)
-            residues = _det_mod(terms, self.n, top, p)  # zip drops its zeros past degree top
-            coeffs = [c + product * ((r - c) * inv % p) for c, r in zip(coeffs, residues)]
-            product *= p
-        result = Poly([c - product if 2 * c > product else c for c in coeffs])
+        p = _modulus(h2)
+        residues = _det_mod(terms, self.n, top, p)[: top + 1]  # the rest are 0
+        result = Poly([r - p if 2 * r > p else r for r in residues])
         q, x = _CHECK_MODULUS, top + 1
         if (result.evaluate(x) - _gauss_jordan([[e.evaluate(x) for e in row] for row in self.entries], q)) % q:
             raise ExactDivisionError(f"determinant disagrees with its check node modulo {q}")
         return result
 
 
-#: Mersenne primes 2^e - 1: proven prime, pairwise coprime, and a pass
-#: costs about the same under each of the first four.
-_MODULI = tuple((1 << e) - 1 for e in (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253))
-#: The largest H^2 for which the whole table still has P > 2H.
-_H2_CEILING = prod(_MODULI) ** 2 // 4
+#: Mersenne primes 2^e - 1, proven prime, in increasing order; det works
+#: modulo the first with p > 2H.
+_MODULI = tuple(
+    (1 << e) - 1 for e in (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941, 11213, 19937)
+)
+#: The largest H^2 for which the largest prime still has p > 2H.
+_H2_CEILING = _MODULI[-1] ** 2 // 4
 #: The check node's prime, a Mersenne prime outside the table.
 _CHECK_MODULUS = (1 << 31) - 1
 
@@ -296,13 +293,10 @@ def _bound_squared(m: PolyMatrix) -> int:
     return prod(sum(sum(map(abs, e.coeffs)) ** 2 for e in row) for row in m.entries)
 
 
-def _moduli(h2: int) -> list[int]:
-    """Primes with product P > 2H: the first cheap one that does alone, else the
-    shortest prefix of the table (all of it if none will do; det refuses such H first)."""
-    single = [p for p in _MODULI[:4] if p * p > 4 * h2]
-    products = enumerate(accumulate(_MODULI, mul), 1)
-    count = next((k for k, q in products if q * q > 4 * h2), len(_MODULI))
-    return single[:1] or list(_MODULI[:count])
+def _modulus(h2: int) -> int:
+    """The smallest prime of the table with p > 2H, else the largest (det
+    refuses such H first)."""
+    return next((p for p in _MODULI if p * p > 4 * h2), _MODULI[-1])
 
 
 def _det_mod(terms: list[tuple[int, int, Poly]], n: int, top: int, p: int) -> list[int]:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import io
 from fractions import Fraction
-from math import prod
 from random import Random
 
 import pytest
@@ -20,7 +19,7 @@ from loosezeta.polyring import (
     Poly,
     PolyMatrix,
     _bound_squared,
-    _moduli,
+    _modulus,
     divmod_exact,
     exact_div,
     format_poly,
@@ -295,7 +294,7 @@ def test_det_coefficients_stay_within_the_kernel_bound(m):
 
 def test_det_is_exact_where_the_bound_is_tight():
     # a diagonal matrix of constants meets Hadamard's bound: H = |det|
-    for prime in polyring._MODULI[:4]:
+    for prime in polyring._MODULI[:-1]:  # the last one's p/2 + 1 is past the table
         for c in (prime // 2 - 1, prime // 2 + 1, prime - 2, prime + 2):
             for sign in (1, -1):
                 assert PolyMatrix([[sign * c]]).det() == Poly.const(sign * c)
@@ -329,11 +328,11 @@ def _huge_matrix(rng: Random, n: int) -> PolyMatrix:
     return PolyMatrix([[entry() for _ in range(n)] for _ in range(n)])
 
 
-def test_det_with_huge_entries_takes_the_crt_path():
+def test_det_with_huge_entries_takes_a_large_modulus():
     rng = Random(30)
     for n in (2, 3, 4):
         m = _huge_matrix(rng, n)
-        assert len(_moduli(_bound_squared(m))) > 1
+        assert _modulus(_bound_squared(m)) > 2**127
         d = m.det()
         assert d == _det_by_interpolation(m)
         for x in (-3, 5):
@@ -442,32 +441,43 @@ def _wide_integer_matrix() -> list[list[int]]:
     return [[rng.randint(-(10**12), 10**12) for _ in range(5)] for _ in range(5)]
 
 
-def test_det_of_a_pencil_that_needs_several_moduli():
+def test_det_of_a_pencil_that_needs_a_large_modulus():
     m = _wide_integer_matrix()
     pencil = _pencil(m)
-    assert len(_moduli(_bound_squared(pencil))) >= 2
+    assert _modulus(_bound_squared(pencil)) > 2**127
     d = pencil.det()
     assert d == _det_by_interpolation(pencil)
     assert d.degree == 5 and d.coefficient(5) == -_fraction_det(m)
 
 
-def test_det_under_too_few_moduli_fails_its_check_node(monkeypatch):
+def test_det_under_too_small_a_modulus_fails_its_check_node(monkeypatch):
     matrices = [_huge_matrix(Random(4), 4), _pencil(_wide_integer_matrix())]
     small = 2**61 - 1
     for m in matrices:  # the true det has a coefficient that one prime cannot lift
         assert max(map(abs, _det_by_interpolation(m).coeffs)) > small // 2
-    monkeypatch.setattr(polyring, "_moduli", lambda h2: [small])
+    monkeypatch.setattr(polyring, "_modulus", lambda h2: small)
     for m in matrices:
         with pytest.raises(ExactDivisionError, match="check node"):
             m.det()
 
 
 def test_det_refuses_a_bound_past_the_moduli_table():
-    with pytest.raises(ValueError, match="bound of 16610 bits is past the moduli table"):
-        PolyMatrix([[10**5000, 0], [0, 1]]).det()
-    table = prod(polyring._MODULI)
-    largest = (table - 1) // 2  # the largest |det| that the whole table lifts
+    with pytest.raises(ValueError, match="bound of 23253 bits is past the moduli table"):
+        PolyMatrix([[10**7000, 0], [0, 1]]).det()
+    largest = (polyring._MODULI[-1] - 1) // 2  # the largest |det| that the largest prime lifts
     assert PolyMatrix([[largest]]).det() == Poly.const(largest)
     assert PolyMatrix([[-largest]]).det() == Poly.const(-largest)
     with pytest.raises(ValueError, match="past the moduli table"):
         PolyMatrix([[largest + 1]]).det()
+
+
+def test_det_takes_one_pass(monkeypatch):
+    passes = []
+    det_mod = polyring._det_mod
+    monkeypatch.setattr(polyring, "_det_mod", lambda *args: passes.append(args[-1]) or det_mod(*args))
+    n = 9  # grid 9x9's vertex route, whose H needs more than 2^127 - 1
+    grid = [[int(abs(i // n - j // n) + abs(i % n - j % n) == 1) for j in range(n * n)] for i in range(n * n)]
+    for m in (_pencil(_wide_integer_matrix()), _bass_hashimoto_matrix(grid, [sum(row) for row in grid])):
+        passes.clear()
+        m.det()
+        assert passes == [_modulus(_bound_squared(m))]
