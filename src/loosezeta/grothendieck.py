@@ -29,7 +29,6 @@ vertex.
 from __future__ import annotations
 
 from collections import Counter
-from random import Random
 from typing import AbstractSet, Iterable, Mapping
 
 from .loosegraph import (
@@ -272,16 +271,17 @@ class SurgeryTrace:
         return LooseGraph.build(t.vertices, t.edges + tuple(restored), loose, t.free)
 
 
-def surgery_trace(g: LooseGraph, rng: Random | None = None) -> SurgeryTrace:
-    """The paper's surgery on the fundamental edges of one spanning tree,
-    in unresolve order like a worked table; builds one graph, the final tree."""
+def surgery_trace(g: LooseGraph) -> SurgeryTrace:
+    """The paper's surgery on the fundamental edges of the spanning tree
+    of spanning_tree(), in unresolve order like a worked table; builds one
+    graph, the final tree.  Relabelling the input gives another tree."""
     if not g.vertices or not is_connected(g):
         raise LooseGraphError("surgery_trace(): connected input required")
     adj = _adjacency_sets(g)
     loose = Counter(g._loose_counts)
     # resolving an edge keeps every full degree, so the tree's are the input's
     tree_value = _tree_form([len(adj[v]) + loose[v] for v in g.vertices])
-    tree_edges, fundamental = _bfs_tree(adj, g.vertices, rng)
+    tree_edges, fundamental = _bfs_tree(adj, g.vertices)
     deltas = []
     for x, y in fundamental:  # resolve each edge: Delta, then delete it
         deltas.append(_difference(adj, x, y))

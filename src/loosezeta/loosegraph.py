@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import re
 from bisect import bisect
-from collections import Counter, deque
+from collections import Counter
 from functools import cached_property
 from itertools import combinations
 from operator import attrgetter
-from random import Random
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .polyring import L, Poly
 
@@ -214,6 +213,7 @@ def parse(text: str, strict: bool = False) -> LooseGraph:
     """
     vertices: list[str] = []
     vset: set[str] = set()
+    implicit: set[str] = set()  # first met in an edge or loose line
     edges: list[tuple[str, str]] = []
     eset: set[tuple[str, str]] = set()
     loose: dict[str, int] = {}
@@ -226,6 +226,7 @@ def parse(text: str, strict: bool = False) -> LooseGraph:
             if strict:
                 raise ParseError(lineno, f"undeclared vertex {name!r} (strict mode)")
             vset.add(name)
+            implicit.add(name)
             vertices.append(name)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -241,7 +242,8 @@ def parse(text: str, strict: bool = False) -> LooseGraph:
             if not _NAME_RE.match(name):
                 raise ParseError(lineno, f"invalid name {name!r}")
             if name in vset:
-                raise ParseError(lineno, f"vertex {name!r} declared twice")
+                again = "after its first use" if name in implicit else "twice"
+                raise ParseError(lineno, f"vertex {name!r} declared {again}")
             vset.add(name)
             vertices.append(name)
         elif kind == "edge":
@@ -501,49 +503,34 @@ def tree_profile(t: LooseGraph) -> TreeProfile:
 
 
 def _bfs_tree(
-    adj: Mapping[str, Iterable[str]], vertices: Sequence[str], rng: Random | None = None
+    adj: Mapping[str, Iterable[str]], vertices: tuple[str, ...]
 ) -> tuple[set[tuple[str, str]], list[tuple[str, str]]]:
-    """Tree edges and fundamental edges of a BFS tree of a connected piece.
-
-    Deterministic by default: root the smallest label, visit neighbors in
-    label order, sort the fundamental edges.  An rng picks the root from
-    ``vertices`` and shuffles each visit order and the fundamental edges.
-    """
-    root = min(vertices) if rng is None else rng.choice(vertices)
+    """Tree edges and sorted fundamental edges of the BFS tree of a
+    connected piece: the root is the smallest label and neighbors are
+    visited in label order, so the tree is a function of the labels."""
+    root = min(vertices)
     tree_edges: set[tuple[str, str]] = set()
     seen = {root}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        nbrs = sorted(adj[v])
-        if rng is not None:
-            rng.shuffle(nbrs)
-        for u in nbrs:
+    order = [root]
+    for v in order:  # grows while it is walked
+        for u in sorted(adj[v]):
             if u not in seen:
                 seen.add(u)
                 tree_edges.add(_norm_edge(v, u))
-                queue.append(u)
+                order.append(u)
     edges = ((v, u) for v in vertices for u in adj[v] if v < u)
-    fundamental = sorted(e for e in edges if e not in tree_edges)
-    if rng is not None:
-        rng.shuffle(fundamental)
-    return tree_edges, fundamental
+    return tree_edges, sorted(e for e in edges if e not in tree_edges)
 
 
-def spanning_tree(
-    g: LooseGraph, rng: Random | None = None
-) -> tuple[LooseGraph, tuple[tuple[str, str], ...]]:
-    """Spanning tree keeping all loose edges, plus the fundamental edges.
-
-    Deterministic by default: BFS from the lexicographically smallest
-    vertex with neighbors visited in label order, fundamental edges
-    sorted.  Pass an rng to randomize root, visit order and edge order.
-    """
+def spanning_tree(g: LooseGraph) -> tuple[LooseGraph, tuple[tuple[str, str], ...]]:
+    """Spanning tree keeping all loose edges, plus the sorted fundamental
+    edges.  The tree is the BFS tree from the smallest label with neighbors
+    visited in label order; relabelling the input gives another tree."""
     if not g.vertices:
         raise LooseGraphError("spanning_tree(): empty input")
     if not is_connected(g):
         raise LooseGraphError("spanning_tree(): disconnected input")
-    tree_edges, fundamental = _bfs_tree(g._neighbor_map, g.vertices, rng)
+    tree_edges, fundamental = _bfs_tree(g._neighbor_map, g.vertices)
     tree = LooseGraph.build(g.vertices, sorted(tree_edges), g.loose, g.free)
     return tree, tuple(fundamental)
 

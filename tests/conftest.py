@@ -183,6 +183,19 @@ def loose_graphs(draw, max_vertices: int = 6) -> LooseGraph:
     return LooseGraph.build(vs, edges, loose, free)
 
 
+def relabelled(g: LooseGraph, rng: Random) -> tuple[LooseGraph, dict[str, str]]:
+    """``g`` with its labels permuted at random and its vertices declared in
+    a random order, plus the map from old labels to new.  The spanning tree
+    of the surgery is a function of the labels, so this is how a test draws
+    another tree."""
+    names = list(g.vertices)
+    rng.shuffle(names)
+    new = dict(zip(g.vertices, names))
+    rng.shuffle(names)
+    edges = [(new[a], new[b]) for a, b in g.edges]
+    return LooseGraph.build(names, edges, {new[v]: k for v, k in g.loose}, g.free), new
+
+
 def random_ihara_graph(rng: Random, max_vertices: int = 8, max_edges: int = 12) -> LooseGraph:
     """Random connected graph with minimum degree 2 and rank >= 1."""
     n = rng.randint(3, max_vertices)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -136,6 +137,48 @@ def test_parse_error_exits_2(capsys):
     assert code == 2 and "loop" in err
     code, _, err = run(capsys, ["class", "--strict"], stdin="edge a b\n")
     assert code == 2
+
+
+def test_late_declaration_exits_2_and_says_so(capsys):
+    code, out, err = run(capsys, ["class"], stdin="edge a b\nvertex a\n")
+    assert (code, out, err) == (2, "", "error: line 2: vertex 'a' declared after its first use\n")
+
+
+def readme_pipelines() -> list[tuple[list[str], list[str], list[str]]]:
+    """(gen argv, command argv, expected lines) of each `loosezeta gen ... |
+    loosezeta ...` example in README's "Command line" block."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("loosezeta "):
+            examples.append((line, []))
+        elif line.startswith("# "):
+            examples[-1][1].append(line[2:])
+    pipelines = []
+    for command, expected in examples:
+        if "|" in command:  # the file example shows no output
+            gen, cmd = (part.split()[1:] for part in command.split("|"))
+            pipelines.append((gen, cmd, expected))
+    return pipelines
+
+
+def test_readme_command_line_examples(capsys):
+    pipelines = readme_pipelines()
+    assert len(pipelines) == 5
+    for gen, cmd, expected in pipelines:
+        code, text, err = run(capsys, gen)
+        assert code == 0, err
+        code, out, err = run(capsys, cmd, stdin=text)
+        assert code == 0, err
+        lines = out.splitlines()
+        assert len(lines) == len(expected), cmd
+        for got, want in zip(lines, expected):
+            if " ... " in want:  # an elided middle: match both ends
+                head, tail = want.split(" ... ")
+                assert got.startswith(head) and got.endswith(tail), (cmd, got)
+            else:
+                assert got == want, cmd
 
 
 def test_gen_unknown_family_exits_2(capsys):

@@ -21,6 +21,7 @@ from conftest import (
     corpus_graphs,
     random_loose_graph,
     random_loose_tree,
+    relabelled,
 )
 from loosezeta import (
     LooseGraph,
@@ -402,11 +403,19 @@ def test_class_equals_tree_class_on_random_trees():
 
 
 def test_spanning_tree_independence():
+    # each relabelling draws another spanning tree; read back in the
+    # original labels, the trees must not all be one tree
     rng = Random(909)
     for name, g in corpus_graphs().items():
         reference = class_polynomial(g)
+        trees = set()
         for _ in range(5):
-            assert surgery_trace(g, rng).result_class == reference, name
+            h, new = relabelled(g, rng)
+            trace = surgery_trace(h)
+            assert trace.result_class == reference, name
+            old = {b: a for a, b in new.items()}
+            trees.add(frozenset(frozenset((old[a], old[b])) for a, b in trace.final_tree.edges))
+        assert len(trees) >= 2, name
 
 
 def test_canonical_key_is_label_independent_enough():

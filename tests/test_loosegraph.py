@@ -67,6 +67,16 @@ def test_parse_errors():
     assert g.free == 1 and g.loose == (("a", 1),)
 
 
+def test_parse_tells_a_second_declaration_from_a_late_one():
+    with pytest.raises(ParseError, match=r"^line 2: vertex 'a' declared twice$"):
+        parse("vertex a\nvertex a\n")
+    # the first occurrence of a was its use in an edge line, not a declaration
+    with pytest.raises(ParseError, match=r"^line 2: vertex 'a' declared after its first use$"):
+        parse("edge a b\nvertex a\n")
+    with pytest.raises(ParseError, match=r"^line 3: vertex 'b' declared after its first use$"):
+        parse("vertex a\nloose b\nvertex b\n")
+
+
 def test_parse_first_mention_order_and_comments():
     g = parse("# a header\n\nedge z y\nedge y x\nloose w\n")
     assert g.vertices == ("z", "y", "x", "w")

@@ -21,6 +21,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import loosezeta
+from conftest import relabelled
 from loosezeta import (
     AmbientSpace,
     FactoredZeta,
@@ -251,7 +252,7 @@ def labelled_connected_graphs(draw) -> LooseGraph:
 
 @given(labelled_connected_graphs(), st.integers(0, 2**32 - 1))
 def test_trace_row_texts_match_serialized_snapshots(g, seed):
-    for trace in (surgery_trace(g), surgery_trace(g, Random(seed))):
+    for trace in (surgery_trace(g), surgery_trace(relabelled(g, Random(seed))[0])):
         expected = [serialize(trace.final_tree)]
         expected += [serialize(trace.graph_before(i)) for i in range(len(trace.steps))]
         restored = [step.resolved_edge for step in trace.steps]
