@@ -1,25 +1,27 @@
 """Brute-force rational point counting over small prime fields.
 
-Independent oracle for the symbolic engine.  count_points() keys every point
-of every vertex chart (x_v = 1, support in v's closed star and phantoms) by
-sum x_i p^i, first nonzero x_i scaled to 1, and counts the distinct keys.
-The coordinate of that first nonzero x_i, the lead, is always a vertex L.
-Keys with lead L come from chart L, p^L + T(dirs(L) after L), and from each
-later neighbour u, s p^u + p^L + T(dirs(u) after L) for s in 1..p-1, T(D)
-being all sums sum w_i p^i over w in F_p^D.  A lead's keys are split into
+Independent oracle for the symbolic engine.  count_points() enumerates every
+point of every vertex chart (x_v = 1, support in v's closed star and
+phantoms), first nonzero x_i scaled to 1, and counts the distinct points.
+Vertices are coordinates 0..n-1 and phantoms n, n+1, ..., so the first
+nonzero x_i, the lead, is a vertex L.  Lead L's points are x_L = 1 plus
+T(dirs(L) after L) from chart L, and x_u = s, x_L = 1 plus T(dirs(u) after L)
+from each later neighbour u, s in 1..p-1, T(D) being F_p^D.  They are keyed
+by sum x_i p^j, j the position of i among L's own coordinates, and split into
 disjoint parts by their digits on split coordinates until every table fits
-TABLE_CAP, and each part is counted in its own set, so memory is bounded by
-one part.  All sum p^deg(v) keys are still generated (estimated_work()).
+TABLE_CAP.  Each part is counted in its own set, since keys of two leads may
+coincide, so memory is bounded by one part and the graph's O(n + m).  All
+sum p^deg(v) keys are still generated (estimated_work()).
 """
 
 from __future__ import annotations
 
 from bisect import bisect
-from itertools import accumulate, repeat
+from itertools import accumulate, count, islice, repeat
 from operator import mul
 
 from .grothendieck import class_polynomial
-from .loosegraph import LooseGraph, ambient_space, value_class
+from .loosegraph import LooseGraph, value_class
 
 DEFAULT_PRIME_BOUND = 13
 DEFAULT_BUDGET = 10_000_000
@@ -69,11 +71,11 @@ def _check_limits(g: LooseGraph, p: int, budget: int) -> None:
         raise BudgetError(f"count_points(): estimated work {work} exceeds budget {budget}")
 
 
-def _keys(bases: list[int], dirs: list[int], ppow: list[int], p: int) -> list[int]:
-    """bases + T(dirs): each base plus each sum sum w_i p^i over w in F_p^dirs."""
+def _keys(bases: list[int], dirs: list[int], weight: dict[int, int], p: int) -> list[int]:
+    """bases + T(dirs): each base plus each sum sum x_i weight[i] over x in F_p^dirs."""
     for i in dirs:
-        # w runs over 0, p^i, ..., (p-1) p^i
-        bases = [b + w for w in accumulate(repeat(ppow[i], p - 1), initial=0) for b in bases]
+        # w runs over 0, weight[i], ..., (p-1) weight[i]
+        bases = [b + w for w in accumulate(repeat(weight[i], p - 1), initial=0) for b in bases]
     return bases
 
 
@@ -93,14 +95,14 @@ def _split(charts: list, width: int, n: int) -> list[int]:
     return split
 
 
-def _parts(charts: list, split: list[int], ppow: list[int], p: int):
+def _parts(charts: list, split: list[int], weight: dict[int, int], p: int):
     """The keys of each nonempty part of one lead's charts, as a list of
     iterables; a part is the keys with the same digits on the split."""
     # a block is base + T(dirs outside the split), with x_u = s fixed
     blocks = []
     for u, bases, dirs in charts:
         free = set(split).intersection(dirs)
-        table = _keys([0], [i for i in dirs if i not in free], ppow, p)
+        table = _keys([0], [i for i in dirs if i not in free], weight, p)
         blocks += [(b, free, table, u, s) for s, b in enumerate(bases, 1)]
     stack = [(blocks, 0)]
     while stack:
@@ -115,7 +117,7 @@ def _parts(charts: list, split: list[int], ppow: list[int], p: int):
             if i in free:
                 groups[0].append(block)
                 for w in range(1, p):
-                    groups[w].append((base + w * ppow[i], free, table, u, s))
+                    groups[w].append((base + w * weight[i], free, table, u, s))
             else:
                 groups[s if i == u else 0].append(block)
         stack.extend((group, depth + 1) for group in groups if group)
@@ -124,38 +126,34 @@ def _parts(charts: list, split: list[int], ppow: list[int], p: int):
 def count_points(g: LooseGraph, p: int, budget: int = DEFAULT_BUDGET) -> int:
     """Exact number of F_p-rational points of the scheme attached to g."""
     _check_limits(g, p, budget)
-    index = {name: i for i, name in enumerate(ambient_space(g).coordinates)}
-    ppow = list(accumulate(repeat(p, len(index) - 1), mul, initial=1))  # p^0 .. p^(N-1)
     n = g.n_vertices
+    index = {v: i for i, v in enumerate(g.vertices)}
     adjacency = g._neighbor_map
     # dirs[v]: sorted coordinates of vertex v's neighbours, then its phantoms
     dirs = [sorted(index[u] for u in adjacency[v]) for v in g.vertices]
+    phantoms = count(n)
     for v, k in g.loose:
-        dirs[index[v]] += [index[f"{v}#loose{i}"] for i in range(k)]
+        dirs[index[v]] += islice(phantoms, k)
     width = 0
     while p ** (width + 1) <= TABLE_CAP:
         width += 1
-    # parts are disjoint, so one set may hold several: it is counted and
-    # dropped once it holds TABLE_CAP keys, before the next part goes in
-    counted, points = 0, set()
+    counted = 0
     for lead in range(n):
-        # (u, bases, dirs(u) after lead) of the chart at lead, base p^lead, and
-        # of each later neighbour u's chart, bases s p^u + p^lead for x_u = s
-        one = ppow[lead]
-        charts = [(lead, [one], dirs[lead][bisect(dirs[lead], lead) :])]
-        charts += [
-            (u, [one + s * ppow[u] for s in range(1, p)], dirs[u][bisect(dirs[u], lead) :])
-            for u in charts[0][2]
-            if u < n
-        ]
-        for part in _parts(charts, _split(charts, width, n), ppow, p):
-            if len(points) >= TABLE_CAP:
-                counted += len(points)
-                points = set()
-            for keys in part:
-                points.update(keys)
+        after = dirs[lead][bisect(dirs[lead], lead) :]
+        later = [(u, dirs[u][bisect(dirs[u], lead) :]) for u in after if u < n]
+        # the lead's keys are written in base p over its own coordinates only
+        coords = {lead}.union(after, *(d for _, d in later))
+        weight = dict(zip(coords, accumulate(repeat(p), mul, initial=1)))
+        # (u, bases, dirs(u) after lead) of the chart at lead, base w_lead, and
+        # of each later neighbour u's chart, bases w_lead + s w_u for x_u = s
+        one = weight[lead]
+        charts = [(lead, [one], after)]
+        charts += [(u, [one + s * weight[u] for s in range(1, p)], d) for u, d in later]
+        # keys of two leads may coincide, so each part has its own set
+        for part in _parts(charts, _split(charts, width, n), weight, p):
+            counted += len(set().union(*part))
     # free edges live on their own pair of coordinates, disjoint from all charts
-    return counted + len(points) + g.free * (p - 1)
+    return counted + g.free * (p - 1)
 
 
 @value_class

@@ -5,11 +5,16 @@ from __future__ import annotations
 import io
 import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import K4_STAR_LG
+from conftest import K4_STAR_LG, STEP5_GRAPH_LG, hexloose
+from loosezeta import parse, serialize
 from loosezeta.cli import main
 from loosezeta.polyring import Poly, format_poly
 from loosezeta.zeta import FactoredZeta, format_zeta
@@ -312,3 +317,69 @@ def test_unexpected_exception_exits_1_with_one_line(capsys, monkeypatch):
         code, out, err = run(capsys, argv, stdin=K4_STAR_LG)
         assert code == 1 and out == "", argv
         assert err == "error: internal error: KeyError: 'v1'\n", argv
+
+
+# CLI fuzz: valid .lg texts with a few lines or tokens mutated.  The seeds
+# stay small (at most 8 vertices, mutations add at most 3 names), so every
+# command runs in milliseconds on every input.
+FUZZ_SEEDS = [
+    K4_STAR_LG,
+    STEP5_GRAPH_LG,
+    serialize(hexloose()),
+    "edge a b\nedge b c\nedge c a\nloose c\nfree\n",
+    "vertex a\nvertex b\nedge a b\nloose a\nloose a\n",
+]
+FUZZ_TOKENS = [
+    b"edge a a", b"edge a b", b"edge a", b"edge a b c", b"loose a", b"loose a -3", b"loose",
+    b"vertex a", b"vertex c", b"vertex", b"free", b"free 2", b"bogus", b"# note", b"",
+    str(10**40).encode(), b"edge a " + str(10**40).encode(), b"\x00", b"edge a\x00 b",
+    "\ufeff".encode(), "\ufeffvertex z".encode(), b"\r", b"\xff", "\u00e9".encode(), b"\t edge b c",
+]
+FUZZ_COMMANDS = [
+    ["class"], ["class", "--json"], ["class", "--strict"], ["zeta"], ["trace"], ["trace", "--json"],
+    ["ihara"], ["compare"], ["count", "--q", "2"], ["verify", "--primes", "2"],
+]
+
+
+@st.composite
+def mutated_lg(draw) -> bytes:
+    lines = draw(st.sampled_from(FUZZ_SEEDS)).encode().split(b"\n")
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        token = draw(st.sampled_from(FUZZ_TOKENS))
+        how = draw(st.sampled_from(["insert", "replace", "append", "crlf"]))
+        if how == "insert":
+            lines.insert(i, token)
+        elif how == "replace":
+            lines[i] = token
+        elif how == "append":
+            lines[i] += b" " + token
+        else:
+            lines[i] += b"\r"
+    return b"\n".join(lines)
+
+
+def run_quiet(argv, data: bytes):
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with patch("sys.stdin", stdin), redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(mutated_lg())
+@settings(max_examples=50)
+def test_cli_fuzz_exits_with_a_code_and_one_line(data):
+    for argv in FUZZ_COMMANDS:
+        code, out, err = run_quiet(argv, data)
+        assert code in (0, 1, 2, 3), argv
+        assert argv[0] != "verify" or code != 3, data  # the oracle agrees with the class
+        assert "Traceback" not in err and "internal error" not in err, (argv, err)
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+        else:
+            assert err == "", (argv, err)
+        if argv == ["class", "--json"] and code == 0:
+            # P(1) = |V|: the class counts one point per vertex at L = 1
+            coeffs = json.loads(out)["class"]
+            assert sum(map(int, coeffs)) == parse(data.decode()).n_vertices

@@ -176,6 +176,26 @@ def test_every_table_fits_the_cap(g, p, cap):
     assert sizes and max(sizes) <= cap
 
 
+@pytest.mark.parametrize(
+    "g, p", [(generate("path", 3000), 2), (generate("cycle", 2000), 3)], ids=["path_3000_2", "cycle_2000_3"]
+)
+def test_keys_have_one_digit_per_coordinate_of_their_lead(g, p):
+    # a lead has at most 1 + D + D^2 coordinates at maximum degree D, so no
+    # sum grows with the graph; over all coordinates they reached p^(n-1)
+    largest = []
+    keys = pointcount._keys
+
+    def recording(bases, dirs, weight, p):
+        table = keys(bases, dirs, weight, p)
+        largest.append(max(table))
+        return table
+
+    with patch.object(pointcount, "_keys", recording):
+        assert count_points(g, p) == class_polynomial(g).evaluate(p)
+    degree = 2
+    assert largest and max(largest) < p ** (1 + degree + degree**2)
+
+
 def test_verify_k5():
     report = verify(generate("complete", 5), [2, 3, 5])
     assert report.ok
