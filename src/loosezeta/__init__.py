@@ -11,16 +11,15 @@ __version__ = "0.1.0"
 
 _HOMES = {
     "grothendieck": "SurgeryStep SurgeryTrace class_polynomial resolution_difference "
-    "star_class surgery_trace tree_class",
+    "surgery_trace tree_class",
     "ihara": "IharaDomainError edge_matrix_inverse ihara_inverse",
-    "loosegraph": "AmbientSpace GenerateError LooseGraph LooseGraphError NeighborhoodData "
-    "ParseError TreeProfile ambient_space connected_components generate induced "
+    "loosegraph": "GenerateError LooseGraph LooseGraphError NeighborhoodData "
+    "ParseError TreeProfile connected_components generate induced "
     "is_connected is_loose_tree neighborhood parse reduce resolve serialize "
     "spanning_tree tree_profile",
     "pointcount": "BudgetError VerifyReport count_points verify",
-    "polyring": "ExactDivisionError L Poly PolyMatrix det format_poly",
-    "zeta": "FactoredZeta counting_polynomial euler_characteristic f1_zeta format_zeta "
-    "tree_zeta_closed_form",
+    "polyring": "ExactDivisionError L Poly PolyMatrix format_poly",
+    "zeta": "FactoredZeta f1_zeta format_zeta tree_zeta_closed_form",
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
 

@@ -79,15 +79,6 @@ def _tree_form(degrees: list[int]) -> Poly:
     return Poly(coeffs)
 
 
-def star_class(n: int, k: int) -> Poly:
-    """Class of the loose star with n edges, k of which have an endpoint."""
-    if n < 1:
-        raise LooseGraphError("star_class(): n must be >= 1")
-    if not 0 <= k <= n:
-        raise LooseGraphError("star_class(): need 0 <= k <= n")
-    return L**n + k
-
-
 # ---------------------------------------------------------------------------
 # Embedded chart classes
 # ---------------------------------------------------------------------------
@@ -177,18 +168,16 @@ _memo: dict[tuple, Poly] = {}
 
 
 def canonical_key(g: LooseGraph) -> tuple:
-    """Cheap isomorphism-respecting memo key (degree-refined relabeling).
+    """Memo key: the whole graph written over an index that orders the
+    vertices by (degree, loose count, label).
 
-    Ties are broken by original labels, so isomorphic graphs with
-    different labels may get different keys; identical keys always mean
-    equal classes, which is all correctness needs.
+    The index is injective, so equal keys mean isomorphic graphs and
+    hence equal classes.  Ties are broken by label, so isomorphic graphs
+    with other labels may get other keys.
     """
     adj = g._neighbor_map
     lm = g._loose_counts
-    color: dict[str, object] = {v: (len(adj[v]), lm.get(v, 0)) for v in g.vertices}
-    for _ in range(2):
-        color = {v: (color[v], tuple(sorted(color[u] for u in adj[v]))) for v in g.vertices}
-    order = sorted(g.vertices, key=lambda v: (color[v], v))
+    order = sorted(g.vertices, key=lambda v: (len(adj[v]), lm.get(v, 0), v))
     index = {v: i for i, v in enumerate(order)}
     edges = tuple(sorted(tuple(sorted((index[a], index[b]))) for a, b in g.edges))
     loose = tuple(sorted((index[v], k) for v, k in g.loose))

@@ -144,10 +144,6 @@ class LooseGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    @property
-    def n_loose(self) -> int:
-        return sum(k for _, k in self.loose)
-
     def vertex_set(self) -> frozenset[str]:
         return frozenset(self.vertices)
 
@@ -167,9 +163,6 @@ class LooseGraph:
     def _loose_counts(self) -> dict[str, int]:
         """Loose-edge count per vertex that has any; never mutated."""
         return dict(self.loose)
-
-    def loose_map(self) -> dict[str, int]:
-        return dict(self._loose_counts)
 
     def adjacency(self) -> dict[str, list[str]]:
         """Neighbor lists in sorted order."""
@@ -220,9 +213,9 @@ def parse(text: str, strict: bool = False) -> LooseGraph:
     free = 0
 
     def mention(name: str, lineno: int) -> None:
-        if not _NAME_RE.match(name):
-            raise ParseError(lineno, f"invalid name {name!r}")
-        if name not in vset:
+        if name not in vset:  # a name already in vset has passed the check
+            if not _NAME_RE.match(name):
+                raise ParseError(lineno, f"invalid name {name!r}")
             if strict:
                 raise ParseError(lineno, f"undeclared vertex {name!r} (strict mode)")
             vset.add(name)
@@ -630,28 +623,3 @@ def neighborhood(g: LooseGraph, edge: tuple[str, str]) -> NeighborhoodData:
         charts_gly=tuple(sorted(charts_gly.items())),
     )
 
-
-# ---------------------------------------------------------------------------
-# Ambient projective space
-# ---------------------------------------------------------------------------
-
-
-@value_class
-class AmbientSpace:
-    """Coordinates of the ambient projective space: one per vertex, one per
-    loose edge (its phantom direction) and two per free edge."""
-
-    coordinates: tuple[str, ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.coordinates) - 1
-
-
-def ambient_space(g: LooseGraph) -> AmbientSpace:
-    coords = list(g.vertices)
-    for v, k in g.loose:
-        coords.extend(f"{v}#loose{i}" for i in range(k))
-    for j in range(g.free):
-        coords.extend((f"#free{j}a", f"#free{j}b"))
-    return AmbientSpace(tuple(coords))

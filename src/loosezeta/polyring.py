@@ -384,8 +384,3 @@ def _charpoly(h: list[list[int]], p: int) -> list[int]:
             col.append(c)
         last = nxt + [1]
     return last
-
-
-def det(m: PolyMatrix) -> Poly:
-    """Exact determinant of a polynomial matrix."""
-    return m.det()

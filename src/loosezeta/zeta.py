@@ -47,21 +47,6 @@ def f1_zeta(p: Poly) -> FactoredZeta:
     return FactoredZeta.build((k, p.coefficient(k)) for k in range(p.degree + 1))
 
 
-def counting_polynomial(z: FactoredZeta) -> Poly:
-    """Inverse of f1_zeta: rebuild sum a_k L^k from the factors."""
-    if not z.factors:
-        return Poly.zero()
-    coeffs = [0] * (max(k for k, _ in z.factors) + 1)
-    for k, a in z.factors:
-        coeffs[k] = a
-    return Poly(coeffs)
-
-
-def euler_characteristic(p: Poly) -> int:
-    """Sum of coefficients = P(1); the number of closed points."""
-    return p.evaluate(1)
-
-
 def tree_zeta_closed_form(t: LooseGraph) -> FactoredZeta:
     """Zeta of a loose tree straight from its degree spectrum.
 

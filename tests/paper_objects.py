@@ -1,18 +1,21 @@
-"""The paper's cone and local-class objects, kept for the tests, and the
-point-count oracle as one set.
+"""The paper's cone and local-class objects, kept for the tests, the
+coordinates of the ambient projective space and the point-count oracle as
+one set.
 
 The engine computes a resolution difference from three chart classes of
 the edge neighborhood and never builds a cone or a local restriction.
 These objects state the paper's own formulas, so the tests check the
-engine against them.  The oracle counts one lead's keys in parts; the
-one-set enumeration here holds every key at once, so the tests check the
-split against it.
+engine against them.  The engine numbers its coordinates as it counts and
+never names them; the named list here is what the definitional counts
+enumerate.  The oracle counts one lead's keys in parts; the one-set
+enumeration here holds every key at once, so the tests check the split
+against it.
 """
 
 from __future__ import annotations
 
 from loosezeta.grothendieck import class_polynomial
-from loosezeta.loosegraph import LooseGraph, LooseGraphError, ambient_space, induced, reduce, resolve
+from loosezeta.loosegraph import LooseGraph, LooseGraphError, induced, reduce, resolve
 from loosezeta.polyring import L, Poly
 
 
@@ -70,12 +73,24 @@ def local_after(g: LooseGraph, edge: tuple[str, str]) -> Poly:
     return class_polynomial(resolve(_restricted(g, edge), edge))
 
 
+def ambient_coordinates(g: LooseGraph) -> list[str]:
+    """Coordinates of the ambient projective space: one per vertex, one per
+    loose edge (its phantom direction ``v#loose<i>``) and two per free edge
+    (``#free<j>a`` and ``#free<j>b``)."""
+    coords = list(g.vertices)
+    for v, k in g.loose:
+        coords.extend(f"{v}#loose{i}" for i in range(k))
+    for j in range(g.free):
+        coords.extend((f"#free{j}a", f"#free{j}b"))
+    return coords
+
+
 def count_points_one_set(g: LooseGraph, p: int) -> int:
     """F_p-points of g as one set of keys sum x_i p^i, first nonzero x_i
     scaled to 1: p^v + T(after v) where v leads, and s p^v + p^d + T(dirs
     after d) for each s in 1..p-1 where an earlier direction d leads, T(D)
     being all sums sum w_i p^i over w in F_p^D."""
-    index = {name: i for i, name in enumerate(ambient_space(g).coordinates)}
+    index = {name: i for i, name in enumerate(ambient_coordinates(g))}
     ppow = [p**i for i in range(len(index))]
     phantoms = {v: [index[f"{v}#loose{i}"] for i in range(k)] for v, k in g.loose}
 

@@ -8,12 +8,12 @@ from random import Random
 import pytest
 
 from conftest import random_loose_graph
+from paper_objects import ambient_coordinates
 from loosezeta import (
     GenerateError,
     LooseGraph,
     LooseGraphError,
     ParseError,
-    ambient_space,
     connected_components,
     generate,
     induced,
@@ -89,7 +89,7 @@ def test_serialize_round_trip():
         text = serialize(g)
         h = parse(text)
         assert h.edge_set() == g.edge_set()
-        assert h.loose_map() == g.loose_map()
+        assert dict(h.loose) == dict(g.loose)
         assert h.free == g.free
         assert serialize(h) == text  # canonical form is a fixed point
 
@@ -101,7 +101,7 @@ def test_generate_families():
     assert s42.n_vertices == 3 and s42.n_edges == 2
     assert s42.degree("v0") == 4 and s42.loose_count("v0") == 2
     a3 = generate("affine", 3)
-    assert a3.n_vertices == 1 and a3.n_loose == 3
+    assert a3.n_vertices == 1 and dict(a3.loose) == {"o": 3}
     p2 = generate("projective", 2)
     assert p2.edge_set() == generate("complete", 3).edge_set()
     j42 = generate("johnson", 4, 2)
@@ -158,10 +158,10 @@ def test_reduce():
 def test_resolve():
     p1 = parse("edge a b\n")
     r = resolve(p1, ("a", "b"))
-    assert r.n_edges == 0 and r.loose_map() == {"a": 1, "b": 1}
+    assert r.n_edges == 0 and dict(r.loose) == {"a": 1, "b": 1}
     tri = generate("cycle", 3)
     b = resolve(tri, ("v1", "v2"))
-    assert b.n_edges == 2 and b.loose_map() == {"v1": 1, "v2": 1}
+    assert b.n_edges == 2 and dict(b.loose) == {"v1": 1, "v2": 1}
     with pytest.raises(LooseGraphError):
         resolve(p1, ("a", "c"))
     with pytest.raises(LooseGraphError):
@@ -201,7 +201,7 @@ def test_spanning_tree():
 def test_spanning_tree_keeps_loose_edges():
     g = parse("edge a b\nedge b c\nedge c a\nloose a\nloose a\n")
     tree, fundamental = spanning_tree(g)
-    assert tree.loose_map() == {"a": 2}
+    assert dict(tree.loose) == {"a": 2}
     assert len(fundamental) == 1
 
 
@@ -254,7 +254,7 @@ def test_neighborhood_gamma_uvm():
     )
     nd = neighborhood(g, ("u", "v"))
     assert nd.g.n_vertices == 3 and nd.g.n_edges == 0
-    assert nd.gl.n_edges == 0 and nd.gl.n_loose == 0
+    assert nd.gl.n_edges == 0 and not nd.gl.loose
     # the xy-cone is the original loose graph again
     cone_gl_xy = cone(nd.gl, LooseGraph.build(["u", "v"], [("u", "v")]))
     assert cone_gl_xy.n_vertices == m + 2 and cone_gl_xy.n_edges == 2 * m + 1
@@ -268,7 +268,7 @@ def test_neighborhood_on_components_remark():
     nd = neighborhood(g, ("x", "y"))
     assert nd.gl.vertex_set() == {"u", "v"}
     assert nd.gl.n_edges == 0
-    assert nd.gl.loose_map() == {"u": 1, "v": 1}
+    assert dict(nd.gl.loose) == {"u": 1, "v": 1}
     assert nd.components == (("u",), ("v",))
     # the loose edges point at w, recorded in the charts
     assert dict(nd.charts_gl) == {"u": frozenset({"w"}), "v": frozenset({"w"})}
@@ -279,7 +279,7 @@ def test_neighborhood_on_components_remark():
 def test_neighborhood_k4():
     nd = neighborhood(generate("complete", 4), ("v1", "v2"))
     assert nd.g.n_vertices == 2 and nd.g.n_edges == 1
-    assert nd.gl.n_edges == 1 and nd.gl.n_loose == 0
+    assert nd.gl.n_edges == 1 and not nd.gl.loose
 
 
 def test_neighborhood_requires_reduced_and_edge():
@@ -309,7 +309,6 @@ def test_neighborhood_g_is_subgraph_of_views():
 def test_induced_and_ambient():
     g = parse("edge a b\nedge b c\nloose c\nfree\n")
     sub = induced(g, ["b", "c"])
-    assert sub.edge_set() == {("b", "c")} and sub.loose_map() == {"c": 1}
-    amb = ambient_space(g)
+    assert sub.edge_set() == {("b", "c")} and dict(sub.loose) == {"c": 1}
     # 3 vertices + 1 loose phantom + 2 free phantoms
-    assert len(amb.coordinates) == 6 and amb.dimension == 5
+    assert len(ambient_coordinates(g)) == 6

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import K4_STAR_LG, STEP5_GRAPH_LG, corpus_graphs, hexloose, loose_graphs, random_loose_graph
-from paper_objects import count_points_one_set
+from paper_objects import ambient_coordinates, count_points_one_set
 from loosezeta import (
     LooseGraph,
     class_polynomial,
@@ -22,7 +22,6 @@ from loosezeta import (
     verify,
 )
 from loosezeta import pointcount
-from loosezeta.loosegraph import ambient_space
 from loosezeta.pointcount import BudgetError, estimated_work, is_prime
 
 
@@ -103,7 +102,7 @@ def count_from_definition(g: LooseGraph, p: int) -> int:
     """Points of P^(N-1)(F_p), first nonzero coordinate 1, whose support
     contains a vertex v and lies in v's closed star and phantoms, or is a
     free edge's coordinate pair."""
-    coords = ambient_space(g).coordinates
+    coords = ambient_coordinates(g)
     bit = {c: 1 << i for i, c in enumerate(coords)}
     adj = g.adjacency()
     charts = []
@@ -124,7 +123,7 @@ def count_from_definition(g: LooseGraph, p: int) -> int:
 
 @given(loose_graphs(max_vertices=4), st.sampled_from([2, 3, 5]), st.sampled_from([1, 4, pointcount.TABLE_CAP]))
 def test_count_matches_definition(g, p, cap):
-    assume(p ** len(ambient_space(g).coordinates) <= 2 * 10**5)
+    assume(p ** len(ambient_coordinates(g)) <= 2 * 10**5)
     # small caps move directions from the table into the offsets
     with patch.object(pointcount, "TABLE_CAP", cap):
         assert count_points(g, p) == count_from_definition(g, p)
@@ -260,7 +259,7 @@ def test_oracle_agrees_with_free_edges():
     rng = Random(271828)
     for _ in range(10):
         g = random_loose_graph(rng, max_vertices=5, max_edges=6)
-        g = LooseGraph.build(g.vertices, g.edges, g.loose_map(), rng.randint(0, 2))
+        g = LooseGraph.build(g.vertices, g.edges, g.loose, rng.randint(0, 2))
         assert verify(g, [2, 3, 5]).ok
 
 

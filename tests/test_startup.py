@@ -2,7 +2,7 @@
 
 Each subcommand imports only the engine modules it runs, and no module
 imports `dataclasses`.  `import loosezeta` is lazy (PEP 562): a public
-name loads its home module on first access.  The nine value classes are
+name loads its home module on first access.  The eight value classes are
 built by `loosegraph.value_class` and keep the frozen-dataclass contract
 that the rest of the suite relies on.
 """
@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 import loosezeta
 from conftest import relabelled
 from loosezeta import (
-    AmbientSpace,
     FactoredZeta,
     LooseGraph,
     NeighborhoodData,
@@ -156,7 +155,6 @@ def _instances():
             tuple(getattr(n12, f) for f in nd_fields),
             tuple(getattr(n13, f) for f in nd_fields),
         ),
-        AmbientSpace: (("coordinates",), (("a", "b"),), (("a",),)),
         SurgeryStep: (
             ("resolved_edge", "delta", "running_class"),
             (("a", "b"), Poly([1]), Poly([0, 1])),
