@@ -9,6 +9,7 @@ graph derives its neighbor map and loose counts once, on first use.
 
 from __future__ import annotations
 
+import io
 import re
 from bisect import bisect
 from collections import Counter
@@ -222,7 +223,8 @@ def parse(text: str, strict: bool = False) -> LooseGraph:
             implicit.add(name)
             vertices.append(name)
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # lines end at \n, \r\n or \r only, not at the other breaks of splitlines()
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -7,11 +7,13 @@ Vertices are coordinates 0..n-1 and phantoms n, n+1, ..., so the first
 nonzero x_i, the lead, is a vertex L.  Lead L's points are x_L = 1 plus
 T(dirs(L) after L) from chart L, and x_u = s, x_L = 1 plus T(dirs(u) after L)
 from each later neighbour u, s in 1..p-1, T(D) being F_p^D.  They are keyed
-by sum x_i p^j, j the position of i among L's own coordinates, and split into
-disjoint parts by their digits on split coordinates until every table fits
-TABLE_CAP.  Each part is counted in its own set, since keys of two leads may
-coincide, so memory is bounded by one part and the graph's O(n + m).  All
-sum p^deg(v) keys are still generated (estimated_work()).
+by sum x_i p^j, j the position of i among L's own coordinates.  Each chart
+and scale is a block of keys, base + T(dirs); while some block's table would
+pass TABLE_CAP, its group is split into at most p disjoint groups by the
+digit on that block's last direction.  Each group is counted in its own set,
+since keys of two leads may coincide, so memory is bounded by one group and
+the graph's O(n + m).  All sum p^deg(v) keys are still generated
+(estimated_work()).
 """
 
 from __future__ import annotations
@@ -71,56 +73,44 @@ def _check_limits(g: LooseGraph, p: int, budget: int) -> None:
         raise BudgetError(f"count_points(): estimated work {work} exceeds budget {budget}")
 
 
-def _keys(bases: list[int], dirs: list[int], weight: dict[int, int], p: int) -> list[int]:
-    """bases + T(dirs): each base plus each sum sum x_i weight[i] over x in F_p^dirs."""
+def _keys(dirs: tuple[int, ...], weight: dict[int, int], p: int) -> list[int]:
+    """T(dirs): each sum sum x_i weight[i] over x in F_p^dirs."""
+    keys = [0]
     for i in dirs:
         # w runs over 0, weight[i], ..., (p-1) weight[i]
-        bases = [b + w for w in accumulate(repeat(weight[i], p - 1), initial=0) for b in bases]
-    return bases
+        keys = [b + w for w in accumulate(repeat(weight[i], p - 1), initial=0) for b in keys]
+    return keys
 
 
-def _split(charts: list, width: int, n: int) -> list[int]:
-    """Split coordinates of one lead: vertex coordinates, then phantoms,
-    highest index first, each taken while a chart that has it still keeps
-    more than ``width`` directions out of the split."""
-    excess = [len(dirs) - width for _, _, dirs in charts]
-    members = [set(dirs) for _, _, dirs in charts]
-    split = []
-    for i in sorted(set().union(*members), key=lambda i: (i >= n, -i)):
-        hit = [j for j, m in enumerate(members) if excess[j] > 0 and i in m]
-        if hit:
-            split.append(i)
-            for j in hit:
-                excess[j] -= 1
-    return split
-
-
-def _parts(charts: list, split: list[int], weight: dict[int, int], p: int):
-    """The keys of each nonempty part of one lead's charts, as a list of
-    iterables; a part is the keys with the same digits on the split."""
-    # a block is base + T(dirs outside the split), with x_u = s fixed
-    blocks = []
-    for u, bases, dirs in charts:
-        free = set(split).intersection(dirs)
-        table = _keys([0], [i for i in dirs if i not in free], weight, p)
-        blocks += [(b, free, table, u, s) for s, b in enumerate(bases, 1)]
-    stack = [(blocks, 0)]
+def _count_lead(blocks: list, weight: dict[int, int], p: int) -> int:
+    """Distinct keys of one lead's blocks (base, dirs, u, s), each block the
+    keys base + T(dirs) with x_u = s.  A group of blocks whose tables all fit
+    TABLE_CAP is counted in one set; any other group is split by the digit on
+    the last direction of its first too-wide block."""
+    tables: dict[tuple[int, ...], list[int]] = {}
+    counted = 0
+    stack = [blocks]
     while stack:
-        blocks, depth = stack.pop()
-        if depth == len(split):
-            yield [map(base.__add__, table) for base, _, table, _, _ in blocks]
+        group = stack.pop()
+        wide = next((dirs for _, dirs, _, _ in group if p ** len(dirs) > TABLE_CAP), None)
+        if wide is None:
+            for _, dirs, _, _ in group:
+                if dirs not in tables:
+                    tables[dirs] = _keys(dirs, weight, p)
+            counted += len(set().union(*[map(base.__add__, tables[dirs]) for base, dirs, _, _ in group]))
             continue
-        i = split[depth]
+        i = wide[-1]
         groups: list[list] = [[] for _ in range(p)]
-        for block in blocks:
-            base, free, table, u, s = block
-            if i in free:
-                groups[0].append(block)
-                for w in range(1, p):
-                    groups[w].append((base + w * weight[i], free, table, u, s))
+        for base, dirs, u, s in group:
+            if i in dirs:
+                rest = tuple(d for d in dirs if d != i)
+                for w in range(p):
+                    groups[w].append((base + w * weight[i], rest, u, s))
             else:
-                groups[s if i == u else 0].append(block)
-        stack.extend((group, depth + 1) for group in groups if group)
+                # x_i is fixed in this block: s on its own coordinate, else 0
+                groups[s if i == u else 0].append((base, dirs, u, s))
+        stack += filter(None, groups)
+    return counted
 
 
 def count_points(g: LooseGraph, p: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -130,13 +120,10 @@ def count_points(g: LooseGraph, p: int, budget: int = DEFAULT_BUDGET) -> int:
     index = {v: i for i, v in enumerate(g.vertices)}
     adjacency = g._neighbor_map
     # dirs[v]: sorted coordinates of vertex v's neighbours, then its phantoms
-    dirs = [sorted(index[u] for u in adjacency[v]) for v in g.vertices]
+    dirs = [tuple(sorted(index[u] for u in adjacency[v])) for v in g.vertices]
     phantoms = count(n)
     for v, k in g.loose:
-        dirs[index[v]] += islice(phantoms, k)
-    width = 0
-    while p ** (width + 1) <= TABLE_CAP:
-        width += 1
+        dirs[index[v]] += tuple(islice(phantoms, k))
     counted = 0
     for lead in range(n):
         after = dirs[lead][bisect(dirs[lead], lead) :]
@@ -144,14 +131,12 @@ def count_points(g: LooseGraph, p: int, budget: int = DEFAULT_BUDGET) -> int:
         # the lead's keys are written in base p over its own coordinates only
         coords = {lead}.union(after, *(d for _, d in later))
         weight = dict(zip(coords, accumulate(repeat(p), mul, initial=1)))
-        # (u, bases, dirs(u) after lead) of the chart at lead, base w_lead, and
-        # of each later neighbour u's chart, bases w_lead + s w_u for x_u = s
+        # the chart at lead, x_lead = 1, and each later neighbour u's chart
+        # with x_u = s; keys of two leads may coincide, so no set spans two
         one = weight[lead]
-        charts = [(lead, [one], after)]
-        charts += [(u, [one + s * weight[u] for s in range(1, p)], d) for u, d in later]
-        # keys of two leads may coincide, so each part has its own set
-        for part in _parts(charts, _split(charts, width, n), weight, p):
-            counted += len(set().union(*part))
+        blocks = [(one, after, lead, 1)]
+        blocks += [(one + s * weight[u], d, u, s) for u, d in later for s in range(1, p)]
+        counted += _count_lead(blocks, weight, p)
     # free edges live on their own pair of coordinates, disjoint from all charts
     return counted + g.free * (p - 1)
 

@@ -149,6 +149,19 @@ def test_late_declaration_exits_2_and_says_so(capsys):
     assert (code, out, err) == (2, "", "error: line 2: vertex 'a' declared after its first use\n")
 
 
+# str.splitlines() also breaks lines at these; a .lg line ends only at
+# \n, \r\n or \r, so each is whitespace within line 1
+OTHER_LINE_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", OTHER_LINE_BREAKS, ids=[f"U+{ord(c):04X}" for c in OTHER_LINE_BREAKS])
+def test_other_line_breaks_stay_within_the_line(capsys, sep):
+    code, out, err = run(capsys, ["class"], stdin=f"vertex a{sep}vertex a\n")
+    assert (code, out, err) == (2, "", "error: line 1: vertex takes exactly one name\n")
+    code, out, err = run(capsys, ["class"], stdin=f"edge a b{sep}edge a b")
+    assert (code, out, err) == (2, "", "error: line 1: edge takes exactly two names\n")
+
+
 def readme_pipelines() -> list[tuple[list[str], list[str], list[str]]]:
     """(gen argv, command argv, expected lines) of each `loosezeta gen ... |
     loosezeta ...` example in README's "Command line" block."""

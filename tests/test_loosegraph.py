@@ -77,6 +77,13 @@ def test_parse_tells_a_second_declaration_from_a_late_one():
         parse("vertex a\nloose b\nvertex b\n")
 
 
+def test_parse_ends_lines_at_crlf_and_lone_cr():
+    for sep in ("\r\n", "\r", "\n"):
+        assert parse(f"vertex a{sep}edge a b{sep}loose b{sep}").edges == (("a", "b"),)
+        with pytest.raises(ParseError, match=r"^line 2: vertex 'a' declared twice$"):
+            parse(f"vertex a{sep}vertex a{sep}")
+
+
 def test_parse_first_mention_order_and_comments():
     g = parse("# a header\n\nedge z y\nedge y x\nloose w\n")
     assert g.vertices == ("z", "y", "x", "w")

@@ -166,9 +166,9 @@ def test_every_table_fits_the_cap(g, p, cap):
     sizes = []
     keys = pointcount._keys
 
-    def recording(bases, dirs, ppow, p):
+    def recording(dirs, ppow, p):
         sizes.append(p ** len(dirs))
-        return keys(bases, dirs, ppow, p)
+        return keys(dirs, ppow, p)
 
     with patch.object(pointcount, "TABLE_CAP", cap), patch.object(pointcount, "_keys", recording):
         assert count_points(g, p) == class_polynomial(g).evaluate(p)
@@ -184,8 +184,8 @@ def test_keys_have_one_digit_per_coordinate_of_their_lead(g, p):
     largest = []
     keys = pointcount._keys
 
-    def recording(bases, dirs, weight, p):
-        table = keys(bases, dirs, weight, p)
+    def recording(dirs, weight, p):
+        table = keys(dirs, weight, p)
         largest.append(max(table))
         return table
 

@@ -1,7 +1,8 @@
 """What a CLI process imports, and the value classes that replace dataclasses.
 
-Each subcommand imports only the engine modules it runs, and no module
-imports `dataclasses`.  `import loosezeta` is lazy (PEP 562): a public
+Each subcommand imports only the engine modules it runs, no module
+imports `dataclasses`, and every module imports only the standard library
+and loosezeta itself.  `import loosezeta` is lazy (PEP 562): a public
 name loads its home module on first access.  The eight value classes are
 built by `loosegraph.value_class` and keep the frozen-dataclass contract
 that the rest of the suite relies on.
@@ -9,6 +10,7 @@ that the rest of the suite relies on.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -97,6 +99,19 @@ def test_subcommand_imports_only_its_modules(tmp_path, args, absent, present):
 
 def test_bare_package_import_loads_no_engine_module():
     assert not {m for m in loaded_modules() if m.startswith("loosezeta.")}
+
+
+def test_modules_import_only_the_standard_library_and_loosezeta():
+    # pyproject.toml declares no runtime dependency
+    imported = set()
+    for path in sorted((SRC / "loosezeta").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported |= {(path.name, alias.name.partition(".")[0]) for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add((path.name, node.module.partition(".")[0]))
+    assert imported and {name for _, name in imported} >= {"__future__", "itertools"}
+    assert not {(f, m) for f, m in imported if m not in sys.stdlib_module_names and m != "loosezeta"}
 
 
 def test_cli_budget_default_is_the_oracles():
