@@ -289,7 +289,7 @@ linux_only = pytest.mark.skipif(
         (hexloose, 13, PEAK_RSS_MB),
         (lambda: generate("johnson", 5, 2), 7, PEAK_RSS_MB),
         (lambda: generate("path", 50_000), 2, 100),
-        # one chart with 22 directions: 4,194,304 keys in one set
+        # one chart with 22 directions: 4,194,304 keys if never split
         (lambda: generate("star", 22, 22), 2, PEAK_RSS_MB),
     ],
     ids=["hexloose_q13", "johnson_5_2_q7", "path_50000_q2", "star_22_22_q2"],
