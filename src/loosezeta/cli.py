@@ -135,7 +135,7 @@ def _cmd_class(g: LooseGraph, as_json: bool) -> int:
 def _cmd_zeta(g: LooseGraph, as_json: bool) -> int:
     from .zeta import f1_zeta, format_zeta
     z = f1_zeta(class_polynomial(g))
-    _emit(z.to_json(), format_zeta(z, "inverse"), as_json)
+    _emit(z.to_json(), format_zeta(z), as_json)
     return EXIT_OK
 
 
@@ -219,7 +219,7 @@ def _cmd_compare(g: LooseGraph, as_json: bool) -> int:
     text = "\n".join(
         [
             f"class:        {format_poly(p, 'L')}",
-            f"zeta inverse: {format_zeta(z, 'inverse')}",
+            f"zeta inverse: {format_zeta(z)}",
             f"ihara inverse: {ih_text}",
         ]
     )

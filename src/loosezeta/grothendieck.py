@@ -94,15 +94,14 @@ def chart_class(charts: Mapping[str, AbstractSet[str]]) -> Poly:
     clique S whose charts share c tokens contributes (1-L)^(|S|-1) L^c.
     The cliques are counted by (|S|, c) and the polynomial built once.
     """
-    sets = {v: frozenset(s) for v, s in charts.items()}
     census: Counter[tuple[int, int]] = Counter()
     # (clique size, tokens shared by its charts, later reals adjacent to all of it)
-    stack = [(1, s, [u for u in s if u > v and u in sets]) for v, s in sets.items()]
+    stack = [(1, s, [u for u in s if u > v and u in charts]) for v, s in charts.items()]
     while stack:
         size, common, cand = stack.pop()
         census[size, len(common)] += 1
         for i, u in enumerate(cand):
-            stack.append((size + 1, common & sets[u], [w for w in cand[i + 1 :] if w in sets[u]]))
+            stack.append((size + 1, common & charts[u], [w for w in cand[i + 1 :] if w in charts[u]]))
     total = Poly.zero()
     for (size, c), n in census.items():
         total = total + n * (1 - L) ** (size - 1) * L**c
@@ -270,12 +269,13 @@ def surgery_trace(g: LooseGraph) -> SurgeryTrace:
     loose = Counter(g._loose_counts)
     # resolving an edge keeps every full degree, so the tree's are the input's
     tree_value = _tree_form([len(adj[v]) + loose[v] for v in g.vertices])
-    tree_edges, fundamental = _bfs_tree(adj, g.vertices)
+    tree_edges, fundamental = _bfs_tree(g._neighbor_map, g.vertices)
     deltas = []
     for x, y in fundamental:  # resolve each edge: Delta, then delete it
         deltas.append(_difference(adj, x, y))
         adj[x].discard(y)
         adj[y].discard(x)
+    del adj  # lowers the peak: the tree is built without the neighbor sets
     loose.update(v for e in fundamental for v in e)
     steps: list[SurgeryStep] = []
     running = tree_value

@@ -13,16 +13,20 @@ that equates them, so their agreement is a check.
 
 from __future__ import annotations
 
+from collections import Counter
+from math import prod
+
 from .loosegraph import LooseGraph, is_connected
-from .polyring import Poly, PolyMatrix
+from .polyring import Poly, PolyMatrix, check_bound
 
 
 class IharaDomainError(ValueError):
     """Input outside the Ihara domain (tree, degree-1 vertex, loose edges...)."""
 
 
-def _validate(g: LooseGraph) -> int:
-    """Check the domain and return the rank |E| - |V| + 1."""
+def _validate(g: LooseGraph) -> tuple[int, Counter[int]]:
+    """Check the domain; return the rank |E| - |V| + 1 and the number of
+    vertices of each degree."""
     if g.loose or g.free:
         raise IharaDomainError("Ihara zeta is defined for graphs only (no loose or free edges)")
     if not g.vertices:
@@ -31,14 +35,17 @@ def _validate(g: LooseGraph) -> int:
         raise IharaDomainError("graph must be connected")
     if g.n_edges == g.n_vertices - 1:
         raise IharaDomainError("input is a tree; its Ihara zeta function is trivial")
-    if any(g.graph_degree(v) < 2 for v in g.vertices):
+    degrees = Counter(g.graph_degree(v) for v in g.vertices)
+    if min(degrees) < 2:
         raise IharaDomainError("vertices of degree 1 are not allowed")
-    return g.n_edges - g.n_vertices + 1
+    return g.n_edges - g.n_vertices + 1, degrees
 
 
 def ihara_inverse(g: LooseGraph) -> Poly:
     """(1 - u^2)^(rank-1) * det(1 - A u + Q u^2) with Q = diag(degree - 1)."""
-    rank = _validate(g)
+    rank, degrees = _validate(g)
+    # H^2 of the matrix before it is built: row v holds 1 + (d-1)u^2 and d entries -u
+    check_bound(prod((d * d + d) ** k for d, k in degrees.items()))
     vs = list(g.vertices)
     pos = {v: i for i, v in enumerate(vs)}
     n = len(vs)
@@ -55,7 +62,9 @@ def ihara_inverse(g: LooseGraph) -> Poly:
 def edge_matrix_inverse(g: LooseGraph) -> Poly:
     """det(1 - u E) over oriented edges; E_ij = 1 iff edge i feeds edge j
     without backtracking.  Orientations i and i + |E| are inverses."""
-    _validate(g)
+    _, degrees = _validate(g)
+    # H^2 of the matrix before it is built: d rows end at v, each holding 1 and d - 1 entries -u
+    check_bound(prod(d ** (d * k) for d, k in degrees.items()))
     m = g.n_edges
     oriented = [(a, b) for a, b in g.edges] + [(b, a) for a, b in g.edges]
     leaving: dict[str, list[int]] = {}

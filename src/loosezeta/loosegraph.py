@@ -104,7 +104,8 @@ class LooseGraph:
         loose: Mapping[str, int] | Iterable[tuple[str, int]] = (),
         free: int = 0,
     ) -> "LooseGraph":
-        """Validate and normalize; the only sanctioned constructor."""
+        """Validate and normalize library input; parse() makes the same checks
+        per line and constructs its value directly."""
         vs = list(vertices)
         vset = set(vs)
         if len(vs) != len(vset):
@@ -203,12 +204,13 @@ def parse(text: str, strict: bool = False) -> LooseGraph:
 
     Lines: ``# comment``, ``vertex NAME``, ``edge A B``, ``loose A``,
     ``free``.  Vertex order is first-mention order.  In strict mode a
-    vertex must be declared before use in an edge/loose line.
+    vertex must be declared before use in an edge/loose line.  Every
+    check of LooseGraph.build() is made here, with the line number, so
+    the returned graph has passed them all.
     """
     vertices: list[str] = []
     vset: set[str] = set()
     implicit: set[str] = set()  # first met in an edge or loose line
-    edges: list[tuple[str, str]] = []
     eset: set[tuple[str, str]] = set()
     loose: dict[str, int] = {}
     free = 0
@@ -253,7 +255,6 @@ def parse(text: str, strict: bool = False) -> LooseGraph:
             if e in eset:
                 raise ParseError(lineno, f"duplicate edge {a} {b}")
             eset.add(e)
-            edges.append(e)
         elif kind == "loose":
             if len(args) != 1:
                 raise ParseError(lineno, "loose takes exactly one name")
@@ -265,7 +266,7 @@ def parse(text: str, strict: bool = False) -> LooseGraph:
             free += 1
         else:
             raise ParseError(lineno, f"unknown directive {kind!r}")
-    return LooseGraph.build(vertices, edges, loose, free)
+    return LooseGraph(tuple(vertices), tuple(sorted(eset)), tuple(sorted(loose.items())), free)
 
 
 def serialize(g: LooseGraph) -> str:
@@ -498,17 +499,18 @@ def tree_profile(t: LooseGraph) -> TreeProfile:
 
 
 def _bfs_tree(
-    adj: Mapping[str, Iterable[str]], vertices: tuple[str, ...]
+    adj: Mapping[str, tuple[str, ...]], vertices: tuple[str, ...]
 ) -> tuple[set[tuple[str, str]], list[tuple[str, str]]]:
     """Tree edges and sorted fundamental edges of the BFS tree of a
-    connected piece: the root is the smallest label and neighbors are
-    visited in label order, so the tree is a function of the labels."""
+    connected piece, given its sorted neighbor tuples: the root is the
+    smallest label and neighbors are visited in label order, so the tree
+    is a function of the labels."""
     root = min(vertices)
     tree_edges: set[tuple[str, str]] = set()
     seen = {root}
     order = [root]
     for v in order:  # grows while it is walked
-        for u in sorted(adj[v]):
+        for u in adj[v]:
             if u not in seen:
                 seen.add(u)
                 tree_edges.add(_norm_edge(v, u))

@@ -264,8 +264,7 @@ class PolyMatrix:
         h2 = _bound_squared(self)
         if not h2:  # a zero row
             return Poly.zero()
-        if h2 > _H2_CEILING:
-            raise ValueError(f"determinant bound of {h2.bit_length() // 2} bits is past the moduli table")
+        check_bound(h2)
         top = sum(max(e.degree for e in row) for row in self.entries)
         terms = [(i, j, e) for i, row in enumerate(self.entries) for j, e in enumerate(row) if e]
         p = _modulus(h2)
@@ -291,6 +290,12 @@ _CHECK_MODULUS = (1 << 31) - 1
 def _bound_squared(m: PolyMatrix) -> int:
     """H^2, where H bounds every coefficient of det M (module docstring)."""
     return prod(sum(sum(map(abs, e.coeffs)) ** 2 for e in row) for row in m.entries)
+
+
+def check_bound(h2: int) -> None:
+    """Raise ValueError if H^2 = h2 is past the moduli table."""
+    if h2 > _H2_CEILING:
+        raise ValueError(f"determinant bound of {h2.bit_length() // 2} bits is past the moduli table")
 
 
 def _modulus(h2: int) -> int:

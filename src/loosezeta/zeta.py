@@ -9,12 +9,10 @@ coefficient route.
 
 from __future__ import annotations
 
-from typing import Iterable, Literal
+from typing import Iterable
 
 from .loosegraph import LooseGraph, LooseGraphError, tree_profile, value_class
 from .polyring import Poly
-
-ZetaStyle = Literal["inverse", "direct", "fp"]
 
 
 @value_class
@@ -70,25 +68,9 @@ def _powered(base: str, e: int) -> str:
     return base if e == 1 else f"{base}^{e}"
 
 
-def format_zeta(z: FactoredZeta, style: ZetaStyle = "inverse") -> str:
-    """Deterministic display string.
-
-    inverse: prod (t-k)^(+a_k) with negative exponents in the denominator;
-    direct: the zeta function itself (exponents -a_k); fp: the finite-field
-    shape prod (1 - p^(k-s))^(-a_k), string-level only.
-    """
-    if style == "fp":
-        if not z.factors:
-            return "1"
-        parts = []
-        for k, a in z.factors:
-            exponent = f"p^-s" if k == 0 else f"p^({k}-s)"
-            parts.append(f"(1 - {exponent})^{-a}")
-        return "*".join(parts)
-    if style == "direct":
-        z = FactoredZeta.build((k, -a) for k, a in z.factors)
-    elif style != "inverse":
-        raise ValueError(f"unknown zeta style {style!r}")
+def format_zeta(z: FactoredZeta) -> str:
+    """Deterministic display string of the inverse zeta function:
+    prod (t-k)^(+a_k) with negative exponents in the denominator."""
     numerator = [_powered(_factor_text(k), a) for k, a in z.factors if a > 0]
     denominator = [_powered(_factor_text(k), -a) for k, a in z.factors if a < 0]
     num = "*".join(numerator) if numerator else "1"

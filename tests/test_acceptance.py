@@ -101,7 +101,7 @@ def test_criterion_2_corpus_values():
         for name, g in corpus_graphs().items():
             p = class_polynomial(g)
             assert p == Poly(CLASS_COEFFS[name]), name
-            assert format_zeta(f1_zeta(p), "inverse") == ZETA_INVERSE[name], name
+            assert format_zeta(f1_zeta(p)) == ZETA_INVERSE[name], name
             assert ihara_inverse(g) == Poly(IHARA_COEFFS[name]), name
 
 

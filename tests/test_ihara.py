@@ -20,7 +20,8 @@ from loosezeta import (
     ihara_inverse,
     parse,
 )
-from loosezeta.polyring import Poly
+from loosezeta import ihara, polyring
+from loosezeta.polyring import Poly, PolyMatrix, _bound_squared
 
 
 def test_corpus_values():
@@ -74,6 +75,23 @@ def test_domain_errors():
         )
     with pytest.raises(IharaDomainError):
         ihara_inverse(LooseGraph.build())
+
+
+@pytest.mark.parametrize("route", [ihara_inverse, edge_matrix_inverse])
+def test_degree_bound_is_the_bound_of_the_built_matrix(monkeypatch, route):
+    # each route refuses a bound past the moduli table before it builds its
+    # matrix; the bound it checks must be the one det() finds in the matrix
+    checked, built = [], []
+    det = PolyMatrix.det
+    monkeypatch.setattr(ihara, "check_bound", lambda h2: checked.append(h2) or polyring.check_bound(h2))
+    monkeypatch.setattr(PolyMatrix, "det", lambda m: built.append(_bound_squared(m)) or det(m))
+    rng = Random(2718)
+    graphs = [corpus_graphs()[name] for name in IHARA_COEFFS]
+    graphs += [random_ihara_graph(rng) for _ in range(20)]
+    for g in graphs:
+        route(g)
+    assert len(built) == len(graphs)
+    assert checked == built
 
 
 def _bass_spectral_product(g: LooseGraph, spectrum: dict[int, int]) -> Poly:

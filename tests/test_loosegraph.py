@@ -14,6 +14,7 @@ from loosezeta import (
     LooseGraph,
     LooseGraphError,
     ParseError,
+    class_polynomial,
     connected_components,
     generate,
     induced,
@@ -27,16 +28,29 @@ from loosezeta import (
     spanning_tree,
     tree_profile,
 )
-from loosezeta.polyring import L, Poly
+from loosezeta.cli import main
+from loosezeta.polyring import L, Poly, format_poly
 from paper_objects import cone
 
 
-def test_readme_format_example_parses():
+def test_readme_format_example_parses(monkeypatch, tmp_path, capsys):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme.split("## The `.lg` format", 1)[1]
     block = section.split("```\n", 2)[1]
-    g = parse(block, strict=True)
-    assert g == LooseGraph.build(["a", "b"], [("a", "b")], {"a": 1}, 1)
+    expected = LooseGraph.build(["a", "b"], [("a", "b")], {"a": 1}, 1)
+    text = format_poly(class_polynomial(expected), "L") + "\n"
+    path = tmp_path / "readme.lg"
+    path.write_text(block)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LooseGraph.build called")
+
+    # parse() makes build()'s checks per line and constructs its value
+    # itself, so neither it nor the class command calls build()
+    monkeypatch.setattr(LooseGraph, "build", refuse)
+    assert parse(block, strict=True) == parse(block) == expected
+    assert main(["class", str(path)]) == 0
+    assert capsys.readouterr() == (text, "")
 
 
 def test_parse_p1():

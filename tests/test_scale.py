@@ -208,6 +208,24 @@ def test_ihara_refuses_long_cycle_with_pendant_quickly():
         ihara_inverse(g)
 
 
+def test_ihara_refuses_k1900_before_building_its_matrix():
+    # a 1900 x 1900 matrix of polynomials took 12.6 s and 609 MB to build
+    # before det() refused its bound; labels are zero-padded, so the pairs
+    # of combinations() are the sorted canonical edges
+    vs = tuple(f"k{i:04d}" for i in range(1900))
+    g = LooseGraph(vs, tuple(combinations(vs, 2)))
+    with within(2.0), pytest.raises(ValueError, match="bound of 20694 bits is past the moduli table"):
+        ihara_inverse(g)
+
+
+def test_edge_route_refuses_k_2_1800_before_building_its_matrix():
+    # 7,200 oriented edges: the dense matrix took 24 s and 808 MB
+    hubs, rim = ["a0", "a1"], [f"b{i:04d}" for i in range(1800)]
+    g = LooseGraph.build(hubs + rim, [(a, b) for a in hubs for b in rim])
+    with within(2.0), pytest.raises(ValueError, match="bound of 21265 bits is past the moduli table"):
+        edge_matrix_inverse(g)
+
+
 def test_gen_johnson_40_1(capsys):
     with within(1.0):
         assert main(["gen", "johnson", "40", "1"]) == 0

@@ -48,18 +48,13 @@ def test_k4_inverse_expands_to_printed_polynomial():
 def test_format_zeta_corpus():
     for name in corpus_graphs():
         z = f1_zeta(Poly(CLASS_COEFFS[name]))
-        assert format_zeta(z, "inverse") == ZETA_INVERSE[name], name
+        assert format_zeta(z) == ZETA_INVERSE[name], name
 
 
 def test_format_zeta_styles():
-    assert format_zeta(FactoredZeta(), "inverse") == "1"
+    assert format_zeta(FactoredZeta()) == "1"
     z = f1_zeta(Poly((12, -12, 0, 8)))
-    assert format_zeta(z, "inverse") == "t^12*(t-3)^8/(t-1)^12"
-    assert format_zeta(z, "direct") == "(t-1)^12/(t^12*(t-3)^8)"
-    fp = format_zeta(z, "fp")
-    assert fp == "(1 - p^-s)^-12*(1 - p^(1-s))^12*(1 - p^(3-s))^-8"
-    with pytest.raises(ValueError):
-        format_zeta(z, "fancy")
+    assert format_zeta(z) == "t^12*(t-3)^8/(t-1)^12"
 
 
 def test_euler_characteristic():
@@ -96,7 +91,7 @@ def test_tree_zeta_closed_form_examples():
         z = tree_zeta_closed_form(generate("affine", n))
         assert z == f1_zeta(Poly.monomial(n))  # 1/(t-n)
     s44 = generate("star", 4, 4)
-    assert format_zeta(tree_zeta_closed_form(s44), "inverse") == "t^4*(t-4)"
+    assert format_zeta(tree_zeta_closed_form(s44)) == "t^4*(t-4)"
 
 
 def test_tree_zeta_closed_form_matches_coefficients():
@@ -121,4 +116,4 @@ def test_projective_spaces():
     for n in range(0, 6):
         z = f1_zeta(class_polynomial(generate("projective", n)))
         assert z.factors == tuple((k, 1) for k in range(n + 1))
-    assert format_zeta(f1_zeta(Poly((1, 1, 1))), "inverse") == "t*(t-1)*(t-2)"
+    assert format_zeta(f1_zeta(Poly((1, 1, 1)))) == "t*(t-1)*(t-2)"
