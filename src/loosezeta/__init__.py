@@ -10,28 +10,38 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _HOMES = {
-    "grothendieck": "SurgeryStep SurgeryTrace class_polynomial resolution_difference "
-    "surgery_trace tree_class",
+    "families": "generate serialize",
+    "grothendieck": "class_polynomial resolution_difference tree_class",
     "ihara": "IharaDomainError edge_matrix_inverse ihara_inverse",
-    "loosegraph": "GenerateError LooseGraph LooseGraphError NeighborhoodData "
-    "ParseError TreeProfile connected_components generate induced "
-    "is_connected is_loose_tree neighborhood parse reduce resolve serialize "
-    "spanning_tree tree_profile",
+    "loosegraph": "GenerateError LooseGraph LooseGraphError ParseError TreeProfile "
+    "is_connected is_loose_tree parse tree_profile",
     "pointcount": "BudgetError VerifyReport count_points verify",
-    "polyring": "ExactDivisionError L Poly PolyMatrix format_poly",
+    "polymatrix": "PolyMatrix",
+    "polyring": "ExactDivisionError L Poly format_poly",
+    "surgery": "NeighborhoodData SurgeryStep SurgeryTrace connected_components induced "
+    "neighborhood reduce resolve spanning_tree surgery_trace",
     "zeta": "FactoredZeta f1_zeta format_zeta tree_zeta_closed_form",
 }
-_HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
 
-__all__ = sorted(_HOME)
+__all__ = sorted(name for names in _HOMES.values() for name in names.split())
 
 
-def __getattr__(name: str):
-    """Resolve a public name from its home module and cache it here."""
-    if name not in _HOME:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(import_module(f".{_HOME[name]}", __name__), name)
-    return value
+def _lazy(namespace: dict, homes: dict[str, str]):
+    """A PEP 562 ``__getattr__`` for the module whose globals are ``namespace``:
+    a name listed in ``homes`` (home module -> names) is imported from its
+    home module on first access and cached in ``namespace``."""
+    home = {name: module for module, names in homes.items() for name in names.split()}
+
+    def __getattr__(name: str):
+        if name not in home:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(import_module(f"{__name__}.{home[name]}"), name)
+        return value
+
+    return __getattr__
+
+
+__getattr__ = _lazy(globals(), _HOMES)
 
 
 def __dir__() -> list[str]:

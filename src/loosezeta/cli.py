@@ -2,31 +2,26 @@
 
 Subcommands: gen, class, zeta, ihara, count, verify, trace, compare.
 Graphs are read from a path or stdin ("-", the default).  Exit codes:
-0 success, 1 domain error or internal error, 2 parse/usage error,
-3 verification failure.  An error prints one ``error: ...`` line on
-stderr instead of a traceback.
+0 success, 1 domain error, internal error or closed output, 2
+parse/usage error, 3 verification failure.  An error prints one
+``error: ...`` line on stderr instead of a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import sys
 from typing import Sequence
 
-# pointcount, zeta and ihara are imported by the subcommands that use them.
-# class_polynomial stays a module-level name: the benchmark's tracer wraps
-# it here, never in its home module.
-from .grothendieck import class_polynomial, surgery_trace
-from .loosegraph import (
-    GenerateError,
-    LooseGraph,
-    ParseError,
-    generate,
-    parse,
-    serialize,
-    serialize_restoring,
-)
+# The other engine modules are imported by the subcommands that use them,
+# so a process compiles only its command's code.  class_polynomial stays a
+# module-level name and surgery_trace is looked up through grothendieck:
+# that is where the benchmark's tracer wraps them.
+from .grothendieck import class_polynomial
+from .loosegraph import GenerateError, LooseGraph, ParseError, parse
 from .polyring import ExactDivisionError, Poly, format_poly
 
 EXIT_OK = 0
@@ -171,6 +166,8 @@ def _cmd_verify(g: LooseGraph, primes: list[int], budget: int, as_json: bool) ->
 
 
 def _cmd_trace(g: LooseGraph, as_json: bool) -> int:
+    from .families import serialize_restoring
+    from .grothendieck import surgery_trace
     trace = surgery_trace(g)
     if as_json:
         # the array json.dumps would write, one row's text live at a time
@@ -228,8 +225,29 @@ def _cmd_compare(g: LooseGraph, as_json: bool) -> int:
 
 
 def _cmd_gen(family: str, params: list[int]) -> int:
+    from .families import generate, serialize
     print(serialize(generate(family, *params)), end="")
     return EXIT_OK
+
+
+def _run_command(args: argparse.Namespace) -> int:
+    if args.command == "gen":
+        return _cmd_gen(args.family, args.params)
+    g = _read_graph(args.input, args.strict)
+    if args.command == "class":
+        return _cmd_class(g, args.json)
+    if args.command == "zeta":
+        return _cmd_zeta(g, args.json)
+    if args.command == "ihara":
+        return _cmd_ihara(g, args.json)
+    if args.command == "count":
+        return _cmd_count(g, args.q, _check_budget(args.budget), args.json)
+    if args.command == "verify":
+        primes = _parse_primes(args.primes)
+        return _cmd_verify(g, primes, _check_budget(args.budget), args.json)
+    if args.command == "trace":
+        return _cmd_trace(g, args.json)
+    return _cmd_compare(g, args.json)  # argparse admits no other command
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -239,23 +257,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        if args.command == "gen":
-            return _cmd_gen(args.family, args.params)
-        g = _read_graph(args.input, args.strict)
-        if args.command == "class":
-            return _cmd_class(g, args.json)
-        if args.command == "zeta":
-            return _cmd_zeta(g, args.json)
-        if args.command == "ihara":
-            return _cmd_ihara(g, args.json)
-        if args.command == "count":
-            return _cmd_count(g, args.q, _check_budget(args.budget), args.json)
-        if args.command == "verify":
-            primes = _parse_primes(args.primes)
-            return _cmd_verify(g, primes, _check_budget(args.budget), args.json)
-        if args.command == "trace":
-            return _cmd_trace(g, args.json)
-        return _cmd_compare(g, args.json)  # argparse admits no other command
+        code = _run_command(args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: what is still buffered goes to devnull, so
+        # the flush at exit does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed before all output was written", file=sys.stderr)
+        return EXIT_DOMAIN
     except (ParseError, GenerateError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -270,5 +280,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_DOMAIN
 
 
+def run() -> None:
+    """Entry point of the ``loosezeta`` command and ``python -m loosezeta``:
+    main(), then exit with its code.  gc.freeze() first spares the process
+    the final collection over everything it imported; CPython never
+    promised finalizers at exit, so no output or exit code changes."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -16,10 +16,11 @@ peels a vertex adjacent to a whole piece (a term L^(n-1)) before it
 enumerates cliques, so complete and threshold graphs stay polynomial.
 
 The paper's surgery is kept as an independent route to the same class:
-surgery_trace() resolves the fundamental edges of a spanning tree down to
-a loose tree whose class is known in closed form, subtracting each edge's
-resolution difference.  The difference of xy needs three neighborhood
-pieces only: with m common neighbors,
+surgery_trace() (in `surgery`; imported here on first lookup, where the
+benchmark's tracer wraps it) resolves the fundamental edges of a
+spanning tree down to a loose tree whose class is known in closed form,
+subtracting each edge's resolution difference.  The difference of xy
+needs three neighborhood pieces only: with m common neighbors,
 Delta = (L-1)*L^m + (L-1)^2*([glx] + [gly] - [g]) (see
 resolution_difference()).  Each piece is a chart class *as embedded*,
 which matters when two of its loose edges point at the same outside
@@ -31,17 +32,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import AbstractSet, Iterable, Mapping
 
-from .loosegraph import (
-    LooseGraph,
-    LooseGraphError,
-    _adjacency_sets,
-    _bfs_tree,
-    _components,
-    _edge_charts,
-    is_connected,
-    is_loose_tree,
-    value_class,
-)
+from . import _lazy
+from .loosegraph import LooseGraph, LooseGraphError, _adjacency_sets, _components, is_loose_tree
 from .polyring import L, Poly
 
 # ---------------------------------------------------------------------------
@@ -111,6 +103,35 @@ def chart_class(charts: Mapping[str, AbstractSet[str]]) -> Poly:
 # ---------------------------------------------------------------------------
 # Resolution differences
 # ---------------------------------------------------------------------------
+
+
+_Charts = dict[str, frozenset[str]]
+
+
+def _edge_charts(
+    adj: Mapping[str, Iterable[str]], x: str, y: str
+) -> tuple[_Charts, _Charts, _Charts]:
+    """Charts of the common neighbors of the edge xy, read from the two
+    unit balls only; ``adj`` may hold neighbor sets or tuples.
+
+    Returns ``(gl, glx, gly)``: each chart maps a common neighbor to its
+    neighbors in the punctured union of the balls, in the x-ball minus y
+    and in the y-ball minus x.
+    """
+    nx, ny = set(adj[x]), set(adj[y])
+    ball_x = nx - {y}
+    ball_y = ny - {x}
+    ball = ball_x | ball_y
+    common = sorted(nx & ny)
+    gl: _Charts = {}
+    glx: _Charts = {}
+    gly: _Charts = {}
+    for v in common:
+        nv = adj[v]
+        gl[v] = frozenset(ball.intersection(nv))
+        glx[v] = frozenset(ball_x.intersection(nv))
+        gly[v] = frozenset(ball_y.intersection(nv))
+    return gl, glx, gly
 
 
 _L_MINUS_1 = L - 1
@@ -222,65 +243,4 @@ def _census_class(g: LooseGraph) -> Poly:
     return total
 
 
-# ---------------------------------------------------------------------------
-# Surgery traces
-# ---------------------------------------------------------------------------
-
-
-@value_class
-class SurgeryStep:
-    """One unresolve step: the edge whose resolution leads a stage back
-    toward the tree, the difference delta = class(resolved) - class(graph
-    before), and the running class."""
-
-    resolved_edge: tuple[str, str]
-    delta: Poly
-    running_class: Poly
-
-
-@value_class
-class SurgeryTrace:
-    """Full surgery bookkeeping from the loose spanning tree back to the
-    input graph; running classes satisfy running_i = running_{i-1} - delta_i
-    with running_0 the tree class and the last running the graph's class."""
-
-    steps: tuple[SurgeryStep, ...]
-    final_tree: LooseGraph
-    final_tree_class: Poly
-
-    @property
-    def result_class(self) -> Poly:
-        return self.steps[-1].running_class if self.steps else self.final_tree_class
-
-    def graph_before(self, i: int) -> LooseGraph:
-        """The final tree with the edges of steps 0..i restored, built on each call."""
-        t, restored = self.final_tree, [step.resolved_edge for step in self.steps[: i + 1]]
-        loose = Counter(t._loose_counts) - Counter(v for e in restored for v in e)
-        return LooseGraph.build(t.vertices, t.edges + tuple(restored), loose, t.free)
-
-
-def surgery_trace(g: LooseGraph) -> SurgeryTrace:
-    """The paper's surgery on the fundamental edges of the spanning tree
-    of spanning_tree(), in unresolve order like a worked table; builds one
-    graph, the final tree.  Relabelling the input gives another tree."""
-    if not g.vertices or not is_connected(g):
-        raise LooseGraphError("surgery_trace(): connected input required")
-    adj = _adjacency_sets(g)
-    loose = Counter(g._loose_counts)
-    # resolving an edge keeps every full degree, so the tree's are the input's
-    tree_value = _tree_form([len(adj[v]) + loose[v] for v in g.vertices])
-    tree_edges, fundamental = _bfs_tree(g._neighbor_map, g.vertices)
-    deltas = []
-    for x, y in fundamental:  # resolve each edge: Delta, then delete it
-        deltas.append(_difference(adj, x, y))
-        adj[x].discard(y)
-        adj[y].discard(x)
-    del adj  # lowers the peak: the tree is built without the neighbor sets
-    loose.update(v for e in fundamental for v in e)
-    steps: list[SurgeryStep] = []
-    running = tree_value
-    for e, delta in zip(reversed(fundamental), reversed(deltas)):
-        running = running - delta
-        steps.append(SurgeryStep(e, delta, running))
-    tree = LooseGraph.build(g.vertices, tree_edges, loose, g.free)
-    return SurgeryTrace(tuple(steps), tree, tree_value)
+__getattr__ = _lazy(globals(), {"surgery": "SurgeryStep SurgeryTrace surgery_trace"})

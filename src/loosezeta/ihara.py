@@ -4,7 +4,7 @@ Both take a finite connected graph with no degree-1 vertices and rank
 |E| - |V| + 1 >= 1 and produce the same degree-2|E| polynomial in u with
 constant term 1: once as (1 - u^2)^(r-1) det(1 - A u + Q u^2) over the
 vertices, once as det(1 - u E) over the 2|E| oriented edges.  The
-shared ingredient is only the exact determinant kernel of `polyring`,
+shared ingredient is only the exact determinant kernel of `polymatrix`,
 which reads both as reversed characteristic polynomials: of the companion
 [[A, -Q], [I, 0]] for the vertex route and of Hashimoto's non-backtracking
 matrix E for the edge route.  Neither route uses the Ihara-Bass identity
@@ -17,7 +17,8 @@ from collections import Counter
 from math import prod
 
 from .loosegraph import LooseGraph, is_connected
-from .polyring import Poly, PolyMatrix, check_bound
+from .polymatrix import PolyMatrix, check_bound
+from .polyring import Poly
 
 
 class IharaDomainError(ValueError):

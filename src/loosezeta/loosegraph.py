@@ -1,24 +1,26 @@
-"""Loose graphs: data model, text format, generators and structural algorithms.
+"""Loose graphs: data model, `.lg` parser and the structural passes of the class.
 
 A loose graph is an undirected loopless graph whose edges may have two,
 one ("loose edge") or zero ("free edge") endpoints.  Loose edges are
 interchangeable and stored as per-vertex counts; free edges as a single
 count.  All values are immutable; every operation returns a new graph.  A
 graph derives its neighbor map and loose counts once, on first use.
+
+Serialization and the built-in families live in `families`, the surgery's
+structural operations in `surgery`.  The benchmark's tracer still looks
+their names up here, so each is imported on first lookup.
 """
 
 from __future__ import annotations
 
 import io
 import re
-from bisect import bisect
 from collections import Counter
 from functools import cached_property
-from itertools import combinations
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
-from .polyring import L, Poly
+from . import _lazy
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -269,161 +271,9 @@ def parse(text: str, strict: bool = False) -> LooseGraph:
     return LooseGraph(tuple(vertices), tuple(sorted(eset)), tuple(sorted(loose.items())), free)
 
 
-def serialize(g: LooseGraph) -> str:
-    """Canonical `.lg` text: vertices sorted, then edges sorted."""
-    return next(serialize_restoring(g, ()))
-
-
-def serialize_restoring(g: LooseGraph, restored: Iterable[tuple[str, str]]) -> Iterator[str]:
-    """Yield serialize() of ``g``, then of ``g`` with each edge of ``restored``
-    put back in turn and one loose edge taken from each of its endpoints;
-    each text is updated from the one before, with no graph built.  Every
-    restored edge must be new and have a loose edge at each endpoint."""
-    head, tail = "".join(f"vertex {v}\n" for v in sorted(g.vertices)), "free\n" * g.free
-    edges = sorted(g.edges)
-    edge_lines = [f"edge {a} {b}\n" for a, b in edges]
-    loose = dict(g._loose_counts)  # sorted by vertex, as build() keeps it
-    loose_lines = {v: f"loose {v}\n" * k for v, k in loose.items()}
-    yield head + "".join(edge_lines) + "".join(loose_lines.values()) + tail
-    for a, b in restored:
-        e = _norm_edge(a, b)
-        i = bisect(edges, e)
-        edges.insert(i, e)
-        edge_lines.insert(i, f"edge {e[0]} {e[1]}\n")
-        for v in e:
-            loose[v] -= 1
-            loose_lines[v] = f"loose {v}\n" * loose[v]
-        yield head + "".join(edge_lines) + "".join(loose_lines.values()) + tail
-
-
-# ---------------------------------------------------------------------------
-# Generators
-# ---------------------------------------------------------------------------
-
-
-def _labels(n: int) -> list[str]:
-    return [f"v{i}" for i in range(1, n + 1)]
-
-
-def generate(family: str, *params: int) -> LooseGraph:
-    """Built-in families: complete n, star n k, path n, cycle n, affine n,
-    projective n, johnson n k, hexahedron."""
-
-    def need(k: int) -> None:
-        if len(params) != k:
-            raise GenerateError(f"{family} takes {k} parameter(s), got {len(params)}")
-
-    if family == "complete":
-        need(1)
-        (n,) = params
-        if n < 1:
-            raise GenerateError("complete needs n >= 1")
-        vs = _labels(n)
-        return LooseGraph.build(vs, list(combinations(vs, 2)))
-    if family == "projective":
-        need(1)
-        (n,) = params
-        if n < 0:
-            raise GenerateError("projective needs n >= 0")
-        return generate("complete", n + 1)
-    if family == "star":
-        need(2)
-        n, k = params
-        if n < 1:
-            raise GenerateError("star needs n >= 1")
-        if not 0 <= k <= n:
-            raise GenerateError("star needs 0 <= k <= n")
-        center = "v0"
-        ends = _labels(k)
-        return LooseGraph.build([center] + ends, [(center, e) for e in ends], {center: n - k})
-    if family == "affine":
-        need(1)
-        (n,) = params
-        if n < 0:
-            raise GenerateError("affine needs n >= 0")
-        return LooseGraph.build(["o"], (), {"o": n})
-    if family == "path":
-        need(1)
-        (n,) = params
-        if n < 1:
-            raise GenerateError("path needs n >= 1")
-        vs = _labels(n)
-        return LooseGraph.build(vs, list(zip(vs, vs[1:])))
-    if family == "cycle":
-        need(1)
-        (n,) = params
-        if n < 3:
-            raise GenerateError("cycle needs n >= 3")
-        vs = _labels(n)
-        return LooseGraph.build(vs, list(zip(vs, vs[1:])) + [(vs[-1], vs[0])])
-    if family == "johnson":
-        need(2)
-        n, k = params
-        if not 1 <= k <= n:
-            raise GenerateError("johnson needs 1 <= k <= n")
-        width = len(str(n))  # zero-padded elements keep the labels distinct
-        subsets = list(combinations(range(1, n + 1), k))
-        label = {s: "s" + "".join(f"{i:0{width}}" for i in s) for s in subsets}
-        swaps = ((s, i, j) for s in subsets for i in s for j in range(i + 1, n + 1) if j not in s)
-        edges = [(label[s], label[tuple(sorted({*s, j} - {i}))]) for s, i, j in swaps]
-        return LooseGraph.build([label[s] for s in subsets], edges)
-    if family == "hexahedron":
-        need(0)
-        vs = [format(i, "03b") for i in range(8)]
-        edges = [(a, b) for a, b in combinations(vs, 2) if sum(x != y for x, y in zip(a, b)) == 1]
-        return LooseGraph.build(vs, edges)
-    raise GenerateError(f"unknown family {family!r}")
-
-
 # ---------------------------------------------------------------------------
 # Structural algorithms
 # ---------------------------------------------------------------------------
-
-
-def induced(g: LooseGraph, keep: Iterable[str]) -> LooseGraph:
-    """Induced subgraph on a vertex subset; loose counts of kept vertices
-    are retained, edges leaving the subset are dropped entirely."""
-    ks = set(keep)
-    if not ks <= g.vertex_set():
-        raise LooseGraphError("induced(): unknown vertex in subset")
-    return LooseGraph.build(
-        [v for v in g.vertices if v in ks],
-        [e for e in g.edges if e[0] in ks and e[1] in ks],
-        {v: k for v, k in g.loose if v in ks},
-        0,
-    )
-
-
-def delete_vertex(g: LooseGraph, v: str) -> LooseGraph:
-    """Remove a vertex together with all incident (and loose) edges."""
-    if v not in g.vertex_set():
-        raise LooseGraphError(f"no vertex {v!r}")
-    rest = [w for w in g.vertices if w != v]
-    sub = induced(g, rest)
-    return LooseGraph.build(sub.vertices, sub.edges, sub.loose, g.free)
-
-
-def reduce(g: LooseGraph) -> tuple[LooseGraph, Poly]:
-    """Strip loose and free edges; return the reduced graph and the class
-    correction sum(L^deg(v) - L^deg_reduced(v)) + free*(L - 1)."""
-    corr = Poly.zero()
-    for v, k in g.loose:
-        d = g.degree(v)
-        corr = corr + L**d - L ** (d - k)
-    corr = corr + g.free * (L - 1)
-    return LooseGraph.build(g.vertices, g.edges, (), 0), corr
-
-
-def resolve(g: LooseGraph, edge: tuple[str, str]) -> LooseGraph:
-    """Replace a 2-vertex edge by one loose edge at each former endpoint."""
-    a, b = edge
-    e = _norm_edge(a, b)
-    if e not in g.edge_set():
-        raise LooseGraphError(f"resolve(): {a!r}-{b!r} is not a 2-vertex edge of the graph")
-    lm = dict(g.loose)
-    lm[a] = lm.get(a, 0) + 1
-    lm[b] = lm.get(b, 0) + 1
-    return LooseGraph.build(g.vertices, [f for f in g.edges if f != e], lm, g.free)
 
 
 def _components(adj: Mapping[str, Iterable[str]], vertices: Iterable[str]) -> list[list[str]]:
@@ -449,23 +299,6 @@ def _adjacency_sets(g: LooseGraph) -> dict[str, set[str]]:
     """Mutable neighbor sets: the class census peels apexes off them and
     the surgery trace deletes its resolved edges from them."""
     return {v: set(ns) for v, ns in g._neighbor_map.items()}
-
-
-def connected_components(g: LooseGraph) -> list[LooseGraph]:
-    """Partition into connected pieces, in one pass over the graph; each free
-    edge is its own component.  A piece keeps the graph's vertex order."""
-    parts = _components(g._neighbor_map, g.vertices)
-    label = {v: i for i, part in enumerate(parts) for v in part}
-    pieces: list[tuple[list, list, list]] = [([], [], []) for _ in parts]
-    for v in g.vertices:
-        pieces[label[v]][0].append(v)
-    for a, b in g.edges:
-        pieces[label[a]][1].append((a, b))
-    for v, k in g.loose:
-        pieces[label[v]][2].append((v, k))
-    comps = [LooseGraph.build(*piece) for piece in pieces]
-    comps.extend(LooseGraph.build((), (), (), 1) for _ in range(g.free))
-    return comps
 
 
 def is_connected(g: LooseGraph) -> bool:
@@ -498,132 +331,9 @@ def tree_profile(t: LooseGraph) -> TreeProfile:
     return TreeProfile(tuple(sorted(counts.items())), inner - 1, degrees.count(1))
 
 
-def _bfs_tree(
-    adj: Mapping[str, tuple[str, ...]], vertices: tuple[str, ...]
-) -> tuple[set[tuple[str, str]], list[tuple[str, str]]]:
-    """Tree edges and sorted fundamental edges of the BFS tree of a
-    connected piece, given its sorted neighbor tuples: the root is the
-    smallest label and neighbors are visited in label order, so the tree
-    is a function of the labels."""
-    root = min(vertices)
-    tree_edges: set[tuple[str, str]] = set()
-    seen = {root}
-    order = [root]
-    for v in order:  # grows while it is walked
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                tree_edges.add(_norm_edge(v, u))
-                order.append(u)
-    edges = ((v, u) for v in vertices for u in adj[v] if v < u)
-    return tree_edges, sorted(e for e in edges if e not in tree_edges)
-
-
-def spanning_tree(g: LooseGraph) -> tuple[LooseGraph, tuple[tuple[str, str], ...]]:
-    """Spanning tree keeping all loose edges, plus the sorted fundamental
-    edges.  The tree is the BFS tree from the smallest label with neighbors
-    visited in label order; relabelling the input gives another tree."""
-    if not g.vertices:
-        raise LooseGraphError("spanning_tree(): empty input")
-    if not is_connected(g):
-        raise LooseGraphError("spanning_tree(): disconnected input")
-    tree_edges, fundamental = _bfs_tree(g._neighbor_map, g.vertices)
-    tree = LooseGraph.build(g.vertices, sorted(tree_edges), g.loose, g.free)
-    return tree, tuple(fundamental)
-
-
-# ---------------------------------------------------------------------------
-# Edge neighborhoods for surgery
-# ---------------------------------------------------------------------------
-
-
-@value_class
-class NeighborhoodData:
-    """The auxiliary loose graphs around an edge xy of a reduced graph.
-
-    ``g`` is the plain graph on the common neighbors.  ``gl``, ``glx``,
-    ``gly`` are the loose graphs on the common neighbors whose loose edges
-    stand for edges leaving the common-neighbor set into the punctured
-    union of unit balls, the x-ball, the y-ball respectively; the
-    ``charts_*`` mappings record where each such edge actually points,
-    which the class computations need.  ``components`` partitions the
-    common neighbors into the connected components of ``gl``.
-    """
-
-    x: str
-    y: str
-    g: LooseGraph
-    gl: LooseGraph
-    glx: LooseGraph
-    gly: LooseGraph
-    components: tuple[tuple[str, ...], ...]
-    charts_gl: tuple[tuple[str, frozenset[str]], ...]
-    charts_glx: tuple[tuple[str, frozenset[str]], ...]
-    charts_gly: tuple[tuple[str, frozenset[str]], ...]
-
-
-def _loose_view(common: list[str], charts: dict[str, frozenset[str]]) -> LooseGraph:
-    cset = set(common)
-    edges = [(u, v) for u in common for v in charts[u] if v in cset and u < v]
-    loose = {v: len(charts[v] - cset) for v in common}
-    return LooseGraph.build(sorted(common), edges, loose)
-
-
-_Charts = dict[str, frozenset[str]]
-
-
-def _edge_charts(
-    adj: Mapping[str, Iterable[str]], x: str, y: str
-) -> tuple[_Charts, _Charts, _Charts]:
-    """Charts of the common neighbors of the edge xy, read from the two
-    unit balls only; ``adj`` may hold neighbor sets or tuples.
-
-    Returns ``(gl, glx, gly)``: each chart maps a common neighbor to its
-    neighbors in the punctured union of the balls, in the x-ball minus y
-    and in the y-ball minus x.
-    """
-    nx, ny = set(adj[x]), set(adj[y])
-    ball_x = nx - {y}
-    ball_y = ny - {x}
-    ball = ball_x | ball_y
-    common = sorted(nx & ny)
-    gl: _Charts = {}
-    glx: _Charts = {}
-    gly: _Charts = {}
-    for v in common:
-        nv = adj[v]
-        gl[v] = frozenset(ball.intersection(nv))
-        glx[v] = frozenset(ball_x.intersection(nv))
-        gly[v] = frozenset(ball_y.intersection(nv))
-    return gl, glx, gly
-
-
-def neighborhood(g: LooseGraph, edge: tuple[str, str]) -> NeighborhoodData:
-    """Extract the surgery neighborhood of a 2-vertex edge.
-
-    The input must be reduced; the computation that uses this data
-    reduces first, so loose edges of the ambient graph never appear here.
-    """
-    if not g.is_reduced():
-        raise LooseGraphError("neighborhood(): graph must be reduced first")
-    x, y = edge
-    if y not in g._neighbor_map.get(x, ()):
-        raise LooseGraphError(f"neighborhood(): {x!r}-{y!r} is not an edge")
-    charts_gl, charts_glx, charts_gly = _edge_charts(g._neighbor_map, x, y)
-    common = sorted(charts_gl)
-    cset = set(common)
-    inner = {v: charts_gl[v] & cset for v in common}
-    comps = _components(inner, common)
-    return NeighborhoodData(
-        x=x,
-        y=y,
-        g=_loose_view(common, inner),
-        gl=_loose_view(common, charts_gl),
-        glx=_loose_view(common, charts_glx),
-        gly=_loose_view(common, charts_gly),
-        components=tuple(tuple(sorted(c)) for c in comps),
-        charts_gl=tuple(sorted(charts_gl.items())),
-        charts_glx=tuple(sorted(charts_glx.items())),
-        charts_gly=tuple(sorted(charts_gly.items())),
-    )
-
+_MOVED = {
+    "families": "generate serialize serialize_restoring",
+    "surgery": "NeighborhoodData connected_components delete_vertex induced neighborhood "
+    "reduce resolve spanning_tree",
+}
+__getattr__ = _lazy(globals(), _MOVED)

@@ -1,0 +1,249 @@
+"""The paper's surgery, the independent route to class_polynomial(), and
+the structural operations only it and the tests use: induced subgraphs,
+vertex deletion, reduction, edge resolution, components as graphs,
+spanning trees and edge neighborhoods."""
+
+from __future__ import annotations
+
+from collections import Counter
+from typing import Iterable, Mapping
+
+from .grothendieck import _difference, _edge_charts, _tree_form
+from .loosegraph import (
+    LooseGraph,
+    LooseGraphError,
+    _adjacency_sets,
+    _components,
+    _norm_edge,
+    is_connected,
+    value_class,
+)
+from .polyring import L, Poly
+
+
+def induced(g: LooseGraph, keep: Iterable[str]) -> LooseGraph:
+    """Induced subgraph on a vertex subset; loose counts of kept vertices
+    are retained, edges leaving the subset are dropped entirely."""
+    ks = set(keep)
+    if not ks <= g.vertex_set():
+        raise LooseGraphError("induced(): unknown vertex in subset")
+    return LooseGraph.build(
+        [v for v in g.vertices if v in ks],
+        [e for e in g.edges if e[0] in ks and e[1] in ks],
+        {v: k for v, k in g.loose if v in ks},
+        0,
+    )
+
+
+def delete_vertex(g: LooseGraph, v: str) -> LooseGraph:
+    """Remove a vertex together with all incident (and loose) edges."""
+    if v not in g.vertex_set():
+        raise LooseGraphError(f"no vertex {v!r}")
+    rest = [w for w in g.vertices if w != v]
+    sub = induced(g, rest)
+    return LooseGraph.build(sub.vertices, sub.edges, sub.loose, g.free)
+
+
+def reduce(g: LooseGraph) -> tuple[LooseGraph, Poly]:
+    """Strip loose and free edges; return the reduced graph and the class
+    correction sum(L^deg(v) - L^deg_reduced(v)) + free*(L - 1)."""
+    corr = Poly.zero()
+    for v, k in g.loose:
+        d = g.degree(v)
+        corr = corr + L**d - L ** (d - k)
+    corr = corr + g.free * (L - 1)
+    return LooseGraph.build(g.vertices, g.edges, (), 0), corr
+
+
+def resolve(g: LooseGraph, edge: tuple[str, str]) -> LooseGraph:
+    """Replace a 2-vertex edge by one loose edge at each former endpoint."""
+    a, b = edge
+    e = _norm_edge(a, b)
+    if e not in g.edge_set():
+        raise LooseGraphError(f"resolve(): {a!r}-{b!r} is not a 2-vertex edge of the graph")
+    lm = dict(g.loose)
+    lm[a] = lm.get(a, 0) + 1
+    lm[b] = lm.get(b, 0) + 1
+    return LooseGraph.build(g.vertices, [f for f in g.edges if f != e], lm, g.free)
+
+
+def connected_components(g: LooseGraph) -> list[LooseGraph]:
+    """Partition into connected pieces, in one pass over the graph; each free
+    edge is its own component.  A piece keeps the graph's vertex order."""
+    parts = _components(g._neighbor_map, g.vertices)
+    label = {v: i for i, part in enumerate(parts) for v in part}
+    pieces: list[tuple[list, list, list]] = [([], [], []) for _ in parts]
+    for v in g.vertices:
+        pieces[label[v]][0].append(v)
+    for a, b in g.edges:
+        pieces[label[a]][1].append((a, b))
+    for v, k in g.loose:
+        pieces[label[v]][2].append((v, k))
+    comps = [LooseGraph.build(*piece) for piece in pieces]
+    comps.extend(LooseGraph.build((), (), (), 1) for _ in range(g.free))
+    return comps
+
+
+def _bfs_tree(
+    adj: Mapping[str, tuple[str, ...]], vertices: tuple[str, ...]
+) -> tuple[set[tuple[str, str]], list[tuple[str, str]]]:
+    """Tree edges and sorted fundamental edges of the BFS tree of a
+    connected piece, given its sorted neighbor tuples: the root is the
+    smallest label and neighbors are visited in label order, so the tree
+    is a function of the labels."""
+    root = min(vertices)
+    tree_edges: set[tuple[str, str]] = set()
+    seen = {root}
+    order = [root]
+    for v in order:  # grows while it is walked
+        for u in adj[v]:
+            if u not in seen:
+                seen.add(u)
+                tree_edges.add(_norm_edge(v, u))
+                order.append(u)
+    edges = ((v, u) for v in vertices for u in adj[v] if v < u)
+    return tree_edges, sorted(e for e in edges if e not in tree_edges)
+
+
+def spanning_tree(g: LooseGraph) -> tuple[LooseGraph, tuple[tuple[str, str], ...]]:
+    """Spanning tree keeping all loose edges, plus the sorted fundamental
+    edges.  The tree is the BFS tree from the smallest label with neighbors
+    visited in label order; relabelling the input gives another tree."""
+    if not g.vertices:
+        raise LooseGraphError("spanning_tree(): empty input")
+    if not is_connected(g):
+        raise LooseGraphError("spanning_tree(): disconnected input")
+    tree_edges, fundamental = _bfs_tree(g._neighbor_map, g.vertices)
+    tree = LooseGraph.build(g.vertices, sorted(tree_edges), g.loose, g.free)
+    return tree, tuple(fundamental)
+
+
+# ---------------------------------------------------------------------------
+# Edge neighborhoods for surgery
+# ---------------------------------------------------------------------------
+
+
+@value_class
+class NeighborhoodData:
+    """The auxiliary loose graphs around an edge xy of a reduced graph.
+
+    ``g`` is the plain graph on the common neighbors.  ``gl``, ``glx``,
+    ``gly`` are the loose graphs on the common neighbors whose loose edges
+    stand for edges leaving the common-neighbor set into the punctured
+    union of unit balls, the x-ball, the y-ball respectively; the
+    ``charts_*`` mappings record where each such edge actually points,
+    which the class computations need.  ``components`` partitions the
+    common neighbors into the connected components of ``gl``.
+    """
+
+    x: str
+    y: str
+    g: LooseGraph
+    gl: LooseGraph
+    glx: LooseGraph
+    gly: LooseGraph
+    components: tuple[tuple[str, ...], ...]
+    charts_gl: tuple[tuple[str, frozenset[str]], ...]
+    charts_glx: tuple[tuple[str, frozenset[str]], ...]
+    charts_gly: tuple[tuple[str, frozenset[str]], ...]
+
+
+def _loose_view(common: list[str], charts: dict[str, frozenset[str]]) -> LooseGraph:
+    cset = set(common)
+    edges = [(u, v) for u in common for v in charts[u] if v in cset and u < v]
+    loose = {v: len(charts[v] - cset) for v in common}
+    return LooseGraph.build(sorted(common), edges, loose)
+
+
+def neighborhood(g: LooseGraph, edge: tuple[str, str]) -> NeighborhoodData:
+    """Extract the surgery neighborhood of a 2-vertex edge.
+
+    The input must be reduced; the computation that uses this data
+    reduces first, so loose edges of the ambient graph never appear here.
+    """
+    if not g.is_reduced():
+        raise LooseGraphError("neighborhood(): graph must be reduced first")
+    x, y = edge
+    if y not in g._neighbor_map.get(x, ()):
+        raise LooseGraphError(f"neighborhood(): {x!r}-{y!r} is not an edge")
+    charts_gl, charts_glx, charts_gly = _edge_charts(g._neighbor_map, x, y)
+    common = sorted(charts_gl)
+    cset = set(common)
+    inner = {v: charts_gl[v] & cset for v in common}
+    comps = _components(inner, common)
+    return NeighborhoodData(
+        x=x,
+        y=y,
+        g=_loose_view(common, inner),
+        gl=_loose_view(common, charts_gl),
+        glx=_loose_view(common, charts_glx),
+        gly=_loose_view(common, charts_gly),
+        components=tuple(tuple(sorted(c)) for c in comps),
+        charts_gl=tuple(sorted(charts_gl.items())),
+        charts_glx=tuple(sorted(charts_glx.items())),
+        charts_gly=tuple(sorted(charts_gly.items())),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Surgery traces
+# ---------------------------------------------------------------------------
+
+
+@value_class
+class SurgeryStep:
+    """One unresolve step: the edge whose resolution leads a stage back
+    toward the tree, the difference delta = class(resolved) - class(graph
+    before), and the running class."""
+
+    resolved_edge: tuple[str, str]
+    delta: Poly
+    running_class: Poly
+
+
+@value_class
+class SurgeryTrace:
+    """Full surgery bookkeeping from the loose spanning tree back to the
+    input graph; running classes satisfy running_i = running_{i-1} - delta_i
+    with running_0 the tree class and the last running the graph's class."""
+
+    steps: tuple[SurgeryStep, ...]
+    final_tree: LooseGraph
+    final_tree_class: Poly
+
+    @property
+    def result_class(self) -> Poly:
+        return self.steps[-1].running_class if self.steps else self.final_tree_class
+
+    def graph_before(self, i: int) -> LooseGraph:
+        """The final tree with the edges of steps 0..i restored, built on each call."""
+        t, restored = self.final_tree, [step.resolved_edge for step in self.steps[: i + 1]]
+        loose = Counter(t._loose_counts) - Counter(v for e in restored for v in e)
+        return LooseGraph.build(t.vertices, t.edges + tuple(restored), loose, t.free)
+
+
+def surgery_trace(g: LooseGraph) -> SurgeryTrace:
+    """The paper's surgery on the fundamental edges of the spanning tree
+    of spanning_tree(), in unresolve order like a worked table; builds one
+    graph, the final tree.  Relabelling the input gives another tree."""
+    if not g.vertices or not is_connected(g):
+        raise LooseGraphError("surgery_trace(): connected input required")
+    adj = _adjacency_sets(g)
+    loose = Counter(g._loose_counts)
+    # resolving an edge keeps every full degree, so the tree's are the input's
+    tree_value = _tree_form([len(adj[v]) + loose[v] for v in g.vertices])
+    tree_edges, fundamental = _bfs_tree(g._neighbor_map, g.vertices)
+    deltas = []
+    for x, y in fundamental:  # resolve each edge: Delta, then delete it
+        deltas.append(_difference(adj, x, y))
+        adj[x].discard(y)
+        adj[y].discard(x)
+    del adj  # lowers the peak: the tree is built without the neighbor sets
+    loose.update(v for e in fundamental for v in e)
+    steps: list[SurgeryStep] = []
+    running = tree_value
+    for e, delta in zip(reversed(fundamental), reversed(deltas)):
+        running = running - delta
+        steps.append(SurgeryStep(e, delta, running))
+    tree = LooseGraph.build(g.vertices, tree_edges, loose, g.free)
+    return SurgeryTrace(tuple(steps), tree, tree_value)

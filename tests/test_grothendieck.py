@@ -496,7 +496,7 @@ def test_surgery_trace_tree_and_cycle():
 
 
 def test_surgery_trace_builds_one_graph(monkeypatch):
-    from loosezeta import grothendieck, loosegraph
+    from loosezeta import grothendieck, loosegraph, surgery
 
     k5 = generate("complete", 5)
     g = LooseGraph.build(k5.vertices, k5.edges, {"v1": 2})
@@ -511,7 +511,7 @@ def test_surgery_trace_builds_one_graph(monkeypatch):
         raise AssertionError("surgery_trace() left its own steps")
 
     monkeypatch.setattr(LooseGraph, "build", classmethod(counting_build))
-    for module in (loosegraph, grothendieck):
+    for module in (loosegraph, grothendieck, surgery):
         for name in ("resolve", "spanning_tree", "tree_class"):
             monkeypatch.setattr(module, name, forbidden, raising=False)
     trace = surgery_trace(g)

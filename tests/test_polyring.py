@@ -11,19 +11,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import IHARA_COEFFS
-from loosezeta import polyring
+from loosezeta import polymatrix
 from loosezeta.cli import main
-from loosezeta.polyring import (
-    ExactDivisionError,
-    L,
-    Poly,
-    PolyMatrix,
-    _bound_squared,
-    _modulus,
-    divmod_exact,
-    exact_div,
-    format_poly,
-)
+from loosezeta.polymatrix import PolyMatrix, _bound_squared, _modulus, divmod_exact, exact_div
+from loosezeta.polyring import ExactDivisionError, L, Poly, format_poly
 
 coeff_lists = st.lists(st.integers(min_value=-50, max_value=50), max_size=8)
 
@@ -294,7 +285,7 @@ def test_det_coefficients_stay_within_the_kernel_bound(m):
 
 def test_det_is_exact_where_the_bound_is_tight():
     # a diagonal matrix of constants meets Hadamard's bound: H = |det|
-    for prime in polyring._MODULI[:-1]:  # the last one's p/2 + 1 is past the table
+    for prime in polymatrix._MODULI[:-1]:  # the last one's p/2 + 1 is past the table
         for c in (prime // 2 - 1, prime // 2 + 1, prime - 2, prime + 2):
             for sign in (1, -1):
                 assert PolyMatrix([[sign * c]]).det() == Poly.const(sign * c)
@@ -341,12 +332,12 @@ def test_det_with_huge_entries_takes_a_large_modulus():
 
 def test_too_small_modulus_is_caught_by_the_check_node(monkeypatch, capsys):
     m = _huge_matrix(Random(4), 4)
-    monkeypatch.setattr(polyring, "_MODULI", (8191,))
+    monkeypatch.setattr(polymatrix, "_MODULI", (8191,))
     assert 8191**2 < 4 * _bound_squared(m)
     with pytest.raises(ExactDivisionError, match="check node"):
         m.det()
     # K4's vertex matrix has H = 144, so a single prime 31 < 2H lifts wrongly
-    monkeypatch.setattr(polyring, "_MODULI", (31,))
+    monkeypatch.setattr(polymatrix, "_MODULI", (31,))
     k4 = "".join(f"edge {a} {b}\n" for a, b in ["ab", "ac", "ad", "bc", "bd", "cd"])
     monkeypatch.setattr("sys.stdin", io.StringIO(k4))
     assert main(["ihara", "-"]) == 1
@@ -455,7 +446,7 @@ def test_det_under_too_small_a_modulus_fails_its_check_node(monkeypatch):
     small = 2**61 - 1
     for m in matrices:  # the true det has a coefficient that one prime cannot lift
         assert max(map(abs, _det_by_interpolation(m).coeffs)) > small // 2
-    monkeypatch.setattr(polyring, "_modulus", lambda h2: small)
+    monkeypatch.setattr(polymatrix, "_modulus", lambda h2: small)
     for m in matrices:
         with pytest.raises(ExactDivisionError, match="check node"):
             m.det()
@@ -464,7 +455,7 @@ def test_det_under_too_small_a_modulus_fails_its_check_node(monkeypatch):
 def test_det_refuses_a_bound_past_the_moduli_table():
     with pytest.raises(ValueError, match="bound of 23253 bits is past the moduli table"):
         PolyMatrix([[10**7000, 0], [0, 1]]).det()
-    largest = (polyring._MODULI[-1] - 1) // 2  # the largest |det| that the largest prime lifts
+    largest = (polymatrix._MODULI[-1] - 1) // 2  # the largest |det| that the largest prime lifts
     assert PolyMatrix([[largest]]).det() == Poly.const(largest)
     assert PolyMatrix([[-largest]]).det() == Poly.const(-largest)
     with pytest.raises(ValueError, match="past the moduli table"):
@@ -473,8 +464,8 @@ def test_det_refuses_a_bound_past_the_moduli_table():
 
 def test_det_takes_one_pass(monkeypatch):
     passes = []
-    det_mod = polyring._det_mod
-    monkeypatch.setattr(polyring, "_det_mod", lambda *args: passes.append(args[-1]) or det_mod(*args))
+    det_mod = polymatrix._det_mod
+    monkeypatch.setattr(polymatrix, "_det_mod", lambda *args: passes.append(args[-1]) or det_mod(*args))
     n = 9  # grid 9x9's vertex route, whose H needs more than 2^127 - 1
     grid = [[int(abs(i // n - j // n) + abs(i % n - j % n) == 1) for j in range(n * n)] for i in range(n * n)]
     for m in (_pencil(_wide_integer_matrix()), _bass_hashimoto_matrix(grid, [sum(row) for row in grid])):

@@ -63,16 +63,22 @@ print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
 NOT_FOR_GRAPHS = {"dataclasses", "loosezeta.pointcount", "loosezeta.zeta", "loosezeta.ihara"}
+FAMILIES, SURGERY, POLYMATRIX = "loosezeta.families", "loosezeta.surgery", "loosezeta.polymatrix"
+COLD = {FAMILIES, SURGERY, POLYMATRIX}
 
 # (args, modules that must not load, modules that must); K4 stands for a graph file
 GUARD_CASES = [
-    (["gen", "path", "3"], NOT_FOR_GRAPHS, {"loosezeta.cli"}),
-    (["class", "K4"], NOT_FOR_GRAPHS, {"loosezeta.grothendieck"}),
-    (["trace", "--json", "K4"], NOT_FOR_GRAPHS, {"loosezeta.grothendieck"}),
-    (["ihara", "K4"], {"dataclasses", "loosezeta.pointcount", "loosezeta.zeta"}, {"loosezeta.ihara"}),
-    (["count", "--q", "3", "K4"], {"dataclasses", "loosezeta.zeta", "loosezeta.ihara"}, {"loosezeta.pointcount"}),
-    (["verify", "K4"], {"dataclasses", "loosezeta.zeta", "loosezeta.ihara"}, {"loosezeta.pointcount"}),
-    (["zeta", "K4"], {"dataclasses", "loosezeta.pointcount", "loosezeta.ihara"}, {"loosezeta.zeta"}),
+    (["gen", "path", "3"], NOT_FOR_GRAPHS | {SURGERY, POLYMATRIX}, {"loosezeta.cli", FAMILIES}),
+    (["class", "K4"], NOT_FOR_GRAPHS | COLD, {"loosezeta.grothendieck"}),
+    (["trace", "--json", "K4"], NOT_FOR_GRAPHS | {POLYMATRIX}, {"loosezeta.grothendieck", SURGERY, FAMILIES}),
+    (["ihara", "K4"], {"dataclasses", "loosezeta.pointcount", "loosezeta.zeta", SURGERY}, {"loosezeta.ihara"}),
+    (
+        ["count", "--q", "3", "K4"],
+        {"dataclasses", "loosezeta.zeta", "loosezeta.ihara"} | COLD,
+        {"loosezeta.pointcount"},
+    ),
+    (["verify", "K4"], {"dataclasses", "loosezeta.zeta", "loosezeta.ihara"} | COLD, {"loosezeta.pointcount"}),
+    (["zeta", "K4"], {"dataclasses", "loosezeta.pointcount", "loosezeta.ihara"} | COLD, {"loosezeta.zeta"}),
     (["compare", "K4"], {"dataclasses", "loosezeta.pointcount"}, {"loosezeta.zeta", "loosezeta.ihara"}),
 ]
 
@@ -97,6 +103,16 @@ def test_subcommand_imports_only_its_modules(tmp_path, args, absent, present):
     assert present <= modules
 
 
+def test_class_op_compiles_at_most_1150_lines(tmp_path):
+    # without bytecode on disk (PYTHONDONTWRITEBYTECODE=1), an op compiles
+    # every loosezeta module it loads, and `python -m` adds __main__
+    path = tmp_path / "k4.lg"
+    path.write_text(serialize(generate("complete", 4)))
+    loaded = {m for m in loaded_modules("class", str(path)) if m.startswith("loosezeta")}
+    files = {"__init__", "__main__"} | {m.partition(".")[2] for m in loaded if "." in m}
+    assert sum(len((SRC / "loosezeta" / f"{f}.py").read_text().splitlines()) for f in files) <= 1150
+
+
 def test_bare_package_import_loads_no_engine_module():
     assert not {m for m in loaded_modules() if m.startswith("loosezeta.")}
 
@@ -118,6 +134,89 @@ def test_cli_budget_default_is_the_oracles():
     assert cli.DEFAULT_BUDGET == pointcount.DEFAULT_BUDGET
     args = cli._build_parser().parse_args(["verify"])
     assert args.budget == pointcount.DEFAULT_BUDGET
+
+
+# ---------------------------------------------------------------------------
+# The CLI process
+# ---------------------------------------------------------------------------
+
+# a child that makes `verify` fail, then runs loosezeta's __main__ as `python -m` does
+FAIL_VERIFY_CHILD = """
+import runpy
+from loosezeta import pointcount
+report = pointcount.VerifyReport((pointcount.PrimeCheck(2, 14, 13, False),), 4, 4)
+pointcount.verify = lambda *args, **kwargs: report
+runpy.run_module("loosezeta", run_name="__main__", alter_sys=True)
+"""
+
+
+def child(args: list[str], code: str | None = None, **kwargs) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    launch = ["-m", "loosezeta"] if code is None else ["-c", code]
+    return subprocess.Popen([sys.executable, *launch, *args], env=env, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "expected,args",
+    [(0, ["class", "--json", "K4"]), (1, ["ihara", "PATH3"]), (2, ["zeta", "BAD"]), (3, ["verify", "K4"])],
+)
+def test_process_matches_main_byte_for_byte(tmp_path, capsys, monkeypatch, expected, args):
+    files = {"K4": serialize(generate("complete", 4)), "PATH3": serialize(generate("path", 3)), "BAD": "edge a\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in args]
+    proc = child(argv, FAIL_VERIFY_CHILD if expected == 3 else None, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    out, err = proc.communicate(timeout=60)
+    if expected == 3:
+        report = VerifyReport((PrimeCheck(2, 14, 13, False),), 4, 4)
+        monkeypatch.setattr(pointcount, "verify", lambda *args, **kwargs: report)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert (proc.returncode, out, err) == (code, captured.out.encode(), captured.err.encode())
+    assert code == expected
+    assert (err == b"") == (code in (0, 3))
+
+
+def test_run_freezes_the_heap_after_main_then_exits_with_its_code(monkeypatch):
+    # main() itself never freezes: tests and library callers run it in process
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == 3 and calls == ["main", "freeze"]
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "args,head",
+    [
+        (["trace", "--json", "GRID"], b'[{"graph": "vertex g'),
+        (["class", "--json", "K4"], b""),
+        (["gen", "path", "3"], b""),
+    ],
+    ids=["trace-head", "class", "gen"],
+)
+def test_closed_stdout_exits_1_with_one_error_line(tmp_path, monkeypatch, args, head, unbuffered):
+    # trace: a grid's rows fill the pipe many times over, so the child is still
+    # writing when the reader closes it (`| head -c 20`).  class and gen: the
+    # reader is gone before any output, which, buffered, waits for the flush
+    # at exit; that flush must not fail again ("Exception ignored", exit 120)
+    n = 8
+    grid = [(f"g{i}_{j}", f"g{i}_{j + 1}") for i in range(n) for j in range(n - 1)]
+    grid += [(f"g{j}_{i}", f"g{j + 1}_{i}") for i in range(n) for j in range(n - 1)]
+    files = {"GRID": "".join(f"edge {a} {b}\n" for a, b in grid), "K4": serialize(generate("complete", 4))}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+    argv = [str(tmp_path / a) if a in files else a for a in args]
+    proc = child(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(len(head)) == head
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == "error: standard output was closed before all output was written\n"
 
 
 # ---------------------------------------------------------------------------
