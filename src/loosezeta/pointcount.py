@@ -1,24 +1,31 @@
-"""Brute-force rational point counting over small prime fields.
+"""Brute-force rational point counting over small finite fields.
 
 Independent oracle for the symbolic engine.  count_points() enumerates every
 point of every vertex chart (x_v = 1, support in v's closed star and
 phantoms), first nonzero x_i scaled to 1, and counts the distinct points.
-Vertices are coordinates 0..n-1 and phantoms n, n+1, ..., so the first
-nonzero x_i, the lead, is a vertex L.  Lead L's points are x_L = 1 plus
-T(dirs(L) after L) from chart L, and x_u = s, x_L = 1 plus T(dirs(u) after L)
-from each later neighbour u, s in 1..p-1, T(D) being F_p^D.  They are keyed
-by sum x_i p^j, j the position of i among L's own coordinates.  Each chart
-and scale is a block of keys, base + T(dirs); while some block's table would
-pass TABLE_CAP, its group is split into at most p disjoint groups by the
-digit on that block's last direction.  Each group is counted in its own set,
-since keys of two leads may coincide, so memory is bounded by one group and
-the graph's O(n + m).  All sum p^deg(v) keys are still generated
+It never multiplies field elements, so p symbols with 0 special serve for
+any prime power p.  Vertices are coordinates 0..n-1 and phantoms n, n+1,
+..., so the first nonzero x_i, the lead, is a vertex L.  Lead L's points are
+x_L = 1 plus T(dirs(L) after L) from chart L, and x_u = s, x_L = 1 plus
+T(dirs(u) after L) from each later neighbour u, s in 1..p-1, T(D) being
+F_p^D.  They are keyed by sum x_i p^j over L's other coordinates, j the
+coordinate's position; the coordinates free in the most keys come first.
+The lowest k digits, p^k <= ROW_BITS, pick a bit of a row, an int bitset,
+and the other digits pick the row.  Each chart and scale is a block of
+keys, base + T(dirs): it ORs the bits of T(its lo dirs), shifted by its lo
+digits, into each of its p^(#hi dirs) rows.  While some block would touch
+more than ROW_CAP rows, its group is split into at most p disjoint groups
+by the digit on one of that block's hi directions.  Each group's rows are
+counted by their set bits and dropped, since keys of two leads may
+coincide, so memory is bounded by one group and the graph's O(n + m).
+Every key still sets its own bit, so all sum p^deg(v) keys are generated
 (estimated_work()).
 """
 
 from __future__ import annotations
 
 from bisect import bisect
+from collections import defaultdict
 from itertools import accumulate, count, islice, repeat
 from operator import mul
 
@@ -27,8 +34,10 @@ from .loosegraph import LooseGraph, value_class
 
 DEFAULT_PRIME_BOUND = 13
 DEFAULT_BUDGET = 10_000_000
-#: Most sums in one chart's table within a part; bounds the part's set.
-TABLE_CAP = 2048
+#: Most bits in one row: a row holds the keys that differ in their lo digits.
+ROW_BITS = 4096
+#: Most rows one block may touch within a group; bounds the group's rows.
+ROW_CAP = 256
 
 
 class BudgetError(ValueError):
@@ -57,15 +66,25 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def is_prime_power(n: int) -> bool:
+    """n = r^e for a prime r and some e >= 1; exact for n < PRIMALITY_LIMIT."""
+    if is_prime(n):
+        return True
+    # e >= 2: below PRIMALITY_LIMIT the root is under 2^41, which a float
+    # finds to far less than 1/2
+    roots = ((round(n ** (1 / e)), e) for e in range(2, n.bit_length()))
+    return n > 3 and any(is_prime(r) and r**e == n for r, e in roots)
+
+
 def estimated_work(g: LooseGraph, p: int) -> int:
     """Chart enumeration cost: sum of p^deg(v) plus (p-1) per free edge."""
     return sum(p ** g.degree(v) for v in g.vertices) + g.free * (p - 1)
 
 
 def _check_limits(g: LooseGraph, p: int, budget: int) -> None:
-    """Raise unless p is a prime within the bound whose work fits the budget."""
-    if p < PRIMALITY_LIMIT and not is_prime(p):
-        raise ValueError(f"count_points(): {p} is not prime")
+    """Raise unless p is a prime power within the bound whose work fits the budget."""
+    if p < PRIMALITY_LIMIT and not is_prime_power(p):
+        raise ValueError(f"count_points(): {p} is not a prime power")
     if p > DEFAULT_PRIME_BOUND:
         raise ValueError(f"count_points(): prime {p} exceeds the bound {DEFAULT_PRIME_BOUND}")
     work = estimated_work(g, p)
@@ -82,39 +101,77 @@ def _keys(dirs: tuple[int, ...], weight: dict[int, int], p: int) -> list[int]:
     return keys
 
 
-def _count_lead(blocks: list, weight: dict[int, int], p: int) -> int:
+def _mask(lo: tuple[int, ...], p: int, masks: dict) -> int:
+    """T(lo) as bits, kept in masks: bit sum x_i w_i set for each x in
+    F_p^lo, lo the weights w_i."""
+    if lo not in masks:
+        mask = 1
+        for w in lo:
+            # bits 0, w, ..., (p-1) w; the digits never carry, so * is a disjoint OR
+            mask *= ((1 << p * w) - 1) // ((1 << w) - 1)
+        masks[lo] = mask
+    return masks[lo]
+
+
+def _rows(
+    group: list, weight: dict[int, int], p: int, width: int, masks: dict, tables: dict
+) -> dict[int, int]:
+    """A group's keys as rows: each key sets bit key % width of the row at
+    key - key % width, its hi digits."""
+    rows: dict[int, int] = defaultdict(int)
+    for base, lo, hi, _, _ in group:
+        if hi not in tables:
+            tables[hi] = _keys(hi, weight, p)
+        bits = _mask(lo, p, masks) << base % width
+        first = base - base % width
+        for r in tables[hi]:
+            rows[first + r] |= bits
+    return rows
+
+
+def _count_lead(blocks: list, weight: dict[int, int], p: int, width: int, masks: dict) -> int:
     """Distinct keys of one lead's blocks (base, dirs, u, s), each block the
-    keys base + T(dirs) with x_u = s.  A group of blocks whose tables all fit
-    TABLE_CAP is counted in one set; any other group is split by the digit on
-    the last direction of its first too-wide block."""
+    keys base + T(dirs) with x_u = s.  A direction of weight below width is
+    lo and picks the bit, any other is hi and picks the row.  A group of
+    blocks that each touch at most ROW_CAP rows is counted in one dict of
+    rows; any other group is split by the digit on the last hi direction of
+    its first block that touches more."""
+    if p ** len(weight) <= width:
+        # every key of the lead lies in one row
+        row = 0
+        for base, dirs, _, _ in blocks:
+            row |= _mask(tuple(map(weight.__getitem__, dirs)), p, masks) << base
+        return row.bit_count()
+    group = []
+    for base, dirs, u, s in blocks:
+        lo = tuple(weight[d] for d in dirs if weight[d] < width)
+        hi = tuple(d for d in dirs if weight[d] >= width)
+        group.append((base, lo, hi, u, s))
     tables: dict[tuple[int, ...], list[int]] = {}
     counted = 0
-    stack = [blocks]
+    stack = [group]
     while stack:
         group = stack.pop()
-        wide = next((dirs for _, dirs, _, _ in group if p ** len(dirs) > TABLE_CAP), None)
+        wide = next((hi for _, _, hi, _, _ in group if p ** len(hi) > ROW_CAP), None)
         if wide is None:
-            for _, dirs, _, _ in group:
-                if dirs not in tables:
-                    tables[dirs] = _keys(dirs, weight, p)
-            counted += len(set().union(*[map(base.__add__, tables[dirs]) for base, dirs, _, _ in group]))
+            counted += sum(map(int.bit_count, _rows(group, weight, p, width, masks, tables).values()))
             continue
         i = wide[-1]
         groups: list[list] = [[] for _ in range(p)]
-        for base, dirs, u, s in group:
-            if i in dirs:
-                rest = tuple(d for d in dirs if d != i)
+        for base, lo, hi, u, s in group:
+            if i in hi:
+                rest = tuple(d for d in hi if d != i)
                 for w in range(p):
-                    groups[w].append((base + w * weight[i], rest, u, s))
+                    groups[w].append((base + w * weight[i], lo, rest, u, s))
             else:
                 # x_i is fixed in this block: s on its own coordinate, else 0
-                groups[s if i == u else 0].append((base, dirs, u, s))
+                groups[s if i == u else 0].append((base, lo, hi, u, s))
         stack += filter(None, groups)
     return counted
 
 
 def count_points(g: LooseGraph, p: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Exact number of F_p-rational points of the scheme attached to g."""
+    """Exact number of F_p-rational points of the scheme attached to g, p a prime power."""
     _check_limits(g, p, budget)
     n = g.n_vertices
     index = {v: i for i, v in enumerate(g.vertices)}
@@ -124,19 +181,33 @@ def count_points(g: LooseGraph, p: int, budget: int = DEFAULT_BUDGET) -> int:
     phantoms = count(n)
     for v, k in g.loose:
         dirs[index[v]] += tuple(islice(phantoms, k))
+    # a row holds the keys that differ only in their digits of weight below width
+    width = 1
+    while width * p <= ROW_BITS:
+        width *= p
+    masks: dict[tuple[int, ...], int] = {}
     counted = 0
     for lead in range(n):
         after = dirs[lead][bisect(dirs[lead], lead) :]
         later = [(u, dirs[u][bisect(dirs[u], lead) :]) for u in after if u < n]
-        # the lead's keys are written in base p over its own coordinates only
-        coords = {lead}.union(after, *(d for _, d in later))
+        # x_lead = 1 in all the lead's keys, so they are written in base p
+        # over its other coordinates only
+        coords = set(after).union(*(d for _, d in later))
+        if p ** len(coords) > width:
+            # the coordinates free in the most keys take the lowest digits
+            free = dict.fromkeys(coords, 0)
+            for c in after:
+                free[c] += p ** len(after)
+            for _, d in later:
+                for c in d:
+                    free[c] += (p - 1) * p ** len(d)
+            coords = sorted(coords, key=free.__getitem__, reverse=True)
         weight = dict(zip(coords, accumulate(repeat(p), mul, initial=1)))
         # the chart at lead, x_lead = 1, and each later neighbour u's chart
-        # with x_u = s; keys of two leads may coincide, so no set spans two
-        one = weight[lead]
-        blocks = [(one, after, lead, 1)]
-        blocks += [(one + s * weight[u], d, u, s) for u, d in later for s in range(1, p)]
-        counted += _count_lead(blocks, weight, p)
+        # with x_u = s; keys of two leads may coincide, so no row spans two
+        blocks = [(0, after, lead, 1)]
+        blocks += [(s * weight[u], d, u, s) for u, d in later for s in range(1, p)]
+        counted += _count_lead(blocks, weight, p, width, masks)
     # free edges live on their own pair of coordinates, disjoint from all charts
     return counted + g.free * (p - 1)
 
@@ -183,7 +254,8 @@ class VerifyReport:
 def verify(
     g: LooseGraph, primes: tuple[int, ...] | list[int], budget: int = DEFAULT_BUDGET
 ) -> VerifyReport:
-    """Compare eval(class, q) against the brute-force count for each prime."""
+    """Compare eval(class, q) against the brute-force count for each q in primes
+    (prime powers are admitted too)."""
     for q in primes:
         _check_limits(g, q, budget)
     poly = class_polynomial(g)

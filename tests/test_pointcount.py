@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 from random import Random
 from unittest.mock import patch
@@ -22,7 +23,8 @@ from loosezeta import (
     verify,
 )
 from loosezeta import pointcount
-from loosezeta.pointcount import BudgetError, estimated_work, is_prime
+from loosezeta.pointcount import BudgetError, estimated_work, is_prime, is_prime_power
+from loosezeta.polyring import L, Poly
 
 
 def test_is_prime():
@@ -78,8 +80,8 @@ def test_count_disjoint_union_is_additive():
 
 def test_count_errors():
     g = generate("complete", 3)
-    with pytest.raises(ValueError, match="not prime"):
-        count_points(g, 4)
+    with pytest.raises(ValueError, match="6 is not a prime power"):
+        count_points(g, 6)
     with pytest.raises(ValueError, match="bound"):
         count_points(g, 17)
     with pytest.raises(BudgetError):
@@ -121,18 +123,29 @@ def count_from_definition(g: LooseGraph, p: int) -> int:
     return count
 
 
-@given(loose_graphs(max_vertices=4), st.sampled_from([2, 3, 5]), st.sampled_from([1, 4, pointcount.TABLE_CAP]))
-def test_count_matches_definition(g, p, cap):
+WIDTHS = st.sampled_from([1, 4, pointcount.ROW_BITS])
+ROW_CAPS = st.sampled_from([1, 4, pointcount.ROW_CAP])
+
+
+def capped(width: int, cap: int):
+    """Patch the row width and the rows one block may touch."""
+    return patch.multiple(pointcount, ROW_BITS=width, ROW_CAP=cap)
+
+
+@given(loose_graphs(max_vertices=4), st.sampled_from([2, 3, 5]), WIDTHS, ROW_CAPS)
+def test_count_matches_definition(g, p, width, cap):
     assume(p ** len(ambient_coordinates(g)) <= 2 * 10**5)
-    # small caps move directions from the table into the offsets
-    with patch.object(pointcount, "TABLE_CAP", cap):
+    # narrow rows move directions from the bits into the rows, and a small
+    # row cap splits the groups by them
+    with capped(width, cap):
         assert count_points(g, p) == count_from_definition(g, p)
 
 
 @st.composite
 def dense_loose_graphs(draw) -> LooseGraph:
     """Graphs on 5-9 vertices missing a few edges, with loose and free
-    edges: degrees high enough that the default cap splits at p >= 3."""
+    edges: degrees high enough that at p >= 3 a block spans several rows of
+    the default width."""
     n = draw(st.integers(5, 9))
     vs = [f"v{i}" for i in range(n)]
     pairs = [(a, b) for i, a in enumerate(vs) for b in vs[i + 1 :]]
@@ -144,55 +157,138 @@ def dense_loose_graphs(draw) -> LooseGraph:
 @given(
     loose_graphs(max_vertices=9) | dense_loose_graphs(),
     st.sampled_from([2, 3, 5, 7]),
-    st.sampled_from([1, 4, pointcount.TABLE_CAP]),
+    WIDTHS,
+    ROW_CAPS,
 )
-@example(hexloose(), 5, 4)
-@example(generate("complete", 8), 3, pointcount.TABLE_CAP)
+@example(hexloose(), 5, 4, 4)
+@example(generate("complete", 8), 3, pointcount.ROW_BITS, pointcount.ROW_CAP)
+@example(hexloose(), 7, pointcount.ROW_BITS, pointcount.ROW_CAP)
 @settings(max_examples=200)
-def test_split_count_matches_one_set(g, p, cap):
+def test_split_count_matches_one_set(g, p, width, cap):
     # most of these graphs have too many coordinates for count_from_definition
     assume(estimated_work(g, p) <= 40_000)
-    with patch.object(pointcount, "TABLE_CAP", cap):
+    with capped(width, cap):
         assert count_points(g, p) == count_points_one_set(g, p)
 
 
-@pytest.mark.parametrize("cap", [64, pointcount.TABLE_CAP])
+def recording_rows(record):
+    """_rows, passing each group and the rows it made to record."""
+    rows_of = pointcount._rows
+
+    def recording(group, *args):
+        rows = rows_of(group, *args)
+        record(group, rows)
+        return rows
+
+    return patch.object(pointcount, "_rows", recording)
+
+
+@pytest.mark.parametrize("cap", [64, 2048])
 @pytest.mark.parametrize(
     "g, p",
     [(hexloose(), 13), (generate("johnson", 5, 2), 7), (generate("complete", 8), 3)],
     ids=["hexloose_13", "johnson_5_2_7", "k8_3"],
 )
 def test_every_table_fits_the_cap(g, p, cap):
-    sizes = []
-    keys = pointcount._keys
+    # cap bounds both the bits of a row and the rows (table) of one block
+    widths, tables = [], []
 
-    def recording(dirs, ppow, p):
-        sizes.append(p ** len(dirs))
-        return keys(dirs, ppow, p)
+    def record(group, rows):
+        widths.extend(map(int.bit_length, rows.values()))
+        tables.extend(p ** len(hi) for _, _, hi, _, _ in group)
 
-    with patch.object(pointcount, "TABLE_CAP", cap), patch.object(pointcount, "_keys", recording):
+    with capped(cap, cap), recording_rows(record):
         assert count_points(g, p) == class_polynomial(g).evaluate(p)
-    assert sizes and max(sizes) <= cap
+    assert widths and max(widths) <= cap
+    assert max(tables) <= cap
 
 
 @pytest.mark.parametrize(
     "g, p", [(generate("path", 3000), 2), (generate("cycle", 2000), 3)], ids=["path_3000_2", "cycle_2000_3"]
 )
 def test_keys_have_one_digit_per_coordinate_of_their_lead(g, p):
-    # a lead has at most 1 + D + D^2 coordinates at maximum degree D, so no
-    # sum grows with the graph; over all coordinates they reached p^(n-1)
+    # besides itself a lead has at most D + D^2 coordinates at maximum degree
+    # D, so no key grows with the graph; over all coordinates they reached
+    # p^(n-1).  Rows one bit wide make every key the index of its own row.
     largest = []
-    keys = pointcount._keys
 
-    def recording(dirs, weight, p):
-        table = keys(dirs, weight, p)
-        largest.append(max(table))
-        return table
+    def record(group, rows):
+        largest.extend(rows)
 
-    with patch.object(pointcount, "_keys", recording):
+    with capped(1, pointcount.ROW_CAP), recording_rows(record):
         assert count_points(g, p) == class_polynomial(g).evaluate(p)
     degree = 2
-    assert largest and max(largest) < p ** (1 + degree + degree**2)
+    assert largest and max(largest) < p ** (degree + degree**2)
+
+
+def test_rows_take_the_coordinates_free_in_the_most_keys():
+    # so one OR sets many keys: 782,144 keys take 7,133 row ORs here, and
+    # 426,557 with the least free coordinates on the bits
+    g, p = hexloose(), 13
+    ors = []
+
+    def record(group, rows):
+        ors.extend(p ** len(hi) for _, _, hi, _, _ in group)
+
+    with recording_rows(record):
+        assert count_points(g, p) == class_polynomial(g).evaluate(p)
+    assert 50 * sum(ors) < estimated_work(g, p)
+
+
+PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13)
+
+
+def test_is_prime_power():
+    assert [n for n in range(30) if is_prime_power(n)] == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29]
+    assert [q for q in range(2, 14) if is_prime_power(q)] == list(PRIME_POWERS)
+    assert is_prime_power(2**81) and is_prime_power((2**31 - 1) ** 2) and is_prime_power(2**61 - 1)
+    assert not is_prime_power(2**40 * 3) and not is_prime_power((2**31 - 1) * (2**31 + 11))
+    assert not is_prime_power(-8) and not is_prime_power(1)
+
+
+def interpolate(points: list[tuple[int, int]]) -> Poly:
+    """The polynomial of degree < len(points) through points (Lagrange);
+    its coefficients must be integers."""
+    coeffs = [Fraction(0)] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        basis = [Fraction(yi)]
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                # basis *= (x - xj) / (xi - xj)
+                basis = [(a - xj * b) / (xi - xj) for a, b in zip([0, *basis], [*basis, 0])]
+        coeffs = [c + b for c, b in zip(coeffs, basis)]
+    assert all(c.denominator == 1 for c in coeffs), coeffs
+    return Poly(int(c) for c in coeffs)
+
+
+def determined_class(g: LooseGraph) -> Poly:
+    """The class from point counts alone.  It has degree at most D, the
+    largest full degree (1 for a free edge), so granting that the count is
+    a polynomial in q, the counts at D + 1 prime powers determine it; P(1)
+    is not used."""
+    degree = max([g.free and 1, *map(g.degree, g.vertices)])
+    qs = PRIME_POWERS[: degree + 1]
+    assert len(qs) == degree + 1, f"degree {degree} needs more than {len(PRIME_POWERS)} counts"
+    assert estimated_work(g, qs[-1]) <= pointcount.DEFAULT_BUDGET
+    return interpolate([(q, count_points(g, q)) for q in qs])
+
+
+@pytest.mark.parametrize("name", [*corpus_graphs(), "johnson_5_2", "hexloose"])
+def test_counts_at_prime_powers_determine_the_class(name):
+    extra = {"johnson_5_2": generate("johnson", 5, 2), "hexloose": hexloose()}
+    g = {**corpus_graphs(), **extra}[name]
+    assert determined_class(g) == class_polynomial(g)
+
+
+def test_a_perturbed_class_passes_verify_but_not_the_determining_counts(monkeypatch):
+    # four values, P(2), P(3), P(5) and P(1) = |V|, fix a class only up to
+    # degree 3; johnson 5 2 has degree 6
+    g = generate("johnson", 5, 2)
+    true = class_polynomial(g)
+    perturbed = true + (L - 1) * (L - 2) * (L - 3) * (L - 5)
+    monkeypatch.setattr(pointcount, "class_polynomial", lambda _: perturbed)
+    assert verify(g, [2, 3, 5]).ok
+    assert determined_class(g) == true != perturbed
 
 
 def test_verify_k5():

@@ -109,6 +109,15 @@ def test_small_grid_class_matches_oracle():
     assert p.evaluate(3) == count_points(g, 3)
 
 
+def test_count_star_10_4_at_5():
+    # one chart with 10 directions, 9,765,625 keys: as one set per part it
+    # took about 1 s; as rows of bits it takes a few ms
+    g = generate("star", 10, 4)
+    with within(0.4):
+        n = count_points(g, 5)
+    assert n == class_polynomial(g).evaluate(5) == 9_765_629
+
+
 @pytest.mark.parametrize("n", [20, 30])
 def test_grid_trace_agrees_with_class(n):
     g = grid(n, n)

@@ -194,14 +194,17 @@ def test_run_freezes_the_heap_after_main_then_exits_with_its_code(monkeypatch):
         (["trace", "--json", "GRID"], b'[{"graph": "vertex g'),
         (["class", "--json", "K4"], b""),
         (["gen", "path", "3"], b""),
+        (["gen", "johnson", "20", "3"], b"vertex s01"),
     ],
-    ids=["trace-head", "class", "gen"],
+    ids=["trace-head", "class", "gen", "gen-head"],
 )
 def test_closed_stdout_exits_1_with_one_error_line(tmp_path, monkeypatch, args, head, unbuffered):
     # trace: a grid's rows fill the pipe many times over, so the child is still
     # writing when the reader closes it (`| head -c 20`).  class and gen: the
     # reader is gone before any output, which, buffered, waits for the flush
-    # at exit; that flush must not fail again ("Exception ignored", exit 120)
+    # at exit; that flush must not fail again ("Exception ignored", exit 120).
+    # gen-head: 627,570 bytes in one write, which, unbuffered, the raw file
+    # takes only in part once the reader is gone (`| head -c 10`)
     n = 8
     grid = [(f"g{i}_{j}", f"g{i}_{j + 1}") for i in range(n) for j in range(n - 1)]
     grid += [(f"g{j}_{i}", f"g{j + 1}_{i}") for i in range(n) for j in range(n - 1)]
