@@ -84,11 +84,15 @@ def chart_class(charts: Mapping[str, AbstractSet[str]]) -> Poly:
     so two charts pointing at the same outside vertex share that
     coordinate.  Inclusion-exclusion over cliques of real vertices: a
     clique S whose charts share c tokens contributes (1-L)^(|S|-1) L^c.
-    The cliques are counted by (|S|, c) and the polynomial built once.
+    Each clique grows from its first real through later reals in (chart
+    size, label) order, so a hub is reached last and its cost does not
+    depend on the labels.  The cliques are counted by (|S|, c) and the
+    polynomial built once.
     """
+    rank = {v: i for i, v in enumerate(sorted(charts, key=lambda v: (len(charts[v]), v)))}
     census: Counter[tuple[int, int]] = Counter()
     # (clique size, tokens shared by its charts, later reals adjacent to all of it)
-    stack = [(1, s, [u for u in s if u > v and u in charts]) for v, s in charts.items()]
+    stack = [(1, charts[v], [u for u in charts[v] if u in charts and rank[u] > i]) for v, i in rank.items()]
     while stack:
         size, common, cand = stack.pop()
         census[size, len(common)] += 1
@@ -188,20 +192,11 @@ _memo: dict[tuple, Poly] = {}
 
 
 def canonical_key(g: LooseGraph) -> tuple:
-    """Memo key: the whole graph written over an index that orders the
-    vertices by (degree, loose count, label).
+    """Memo key: the graph's own fields, so equal keys mean equal graphs.
 
-    The index is injective, so equal keys mean isomorphic graphs and
-    hence equal classes.  Ties are broken by label, so isomorphic graphs
-    with other labels may get other keys.
+    A relabelled copy gets another key; its class is computed again.
     """
-    adj = g._neighbor_map
-    lm = g._loose_counts
-    order = sorted(g.vertices, key=lambda v: (len(adj[v]), lm.get(v, 0), v))
-    index = {v: i for i, v in enumerate(order)}
-    edges = tuple(sorted(tuple(sorted((index[a], index[b]))) for a, b in g.edges))
-    loose = tuple(sorted((index[v], k) for v, k in g.loose))
-    return (g.n_vertices, edges, loose, g.free)
+    return (g.vertices, g.edges, g.loose, g.free)
 
 
 def class_polynomial(g: LooseGraph) -> Poly:

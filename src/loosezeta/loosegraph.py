@@ -168,10 +168,6 @@ class LooseGraph:
         """Loose-edge count per vertex that has any; never mutated."""
         return dict(self.loose)
 
-    def adjacency(self) -> dict[str, list[str]]:
-        """Neighbor lists in sorted order."""
-        return {v: list(ns) for v, ns in self._neighbor_map.items()}
-
     def neighbors(self, v: str) -> tuple[str, ...]:
         try:
             return self._neighbor_map[v]

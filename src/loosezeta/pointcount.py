@@ -78,7 +78,8 @@ def is_prime_power(n: int) -> bool:
 
 def estimated_work(g: LooseGraph, p: int) -> int:
     """Chart enumeration cost: sum of p^deg(v) plus (p-1) per free edge."""
-    return sum(p ** g.degree(v) for v in g.vertices) + g.free * (p - 1)
+    lm = g._loose_counts
+    return sum(p ** (len(ns) + lm.get(v, 0)) for v, ns in g._neighbor_map.items()) + g.free * (p - 1)
 
 
 def _check_limits(g: LooseGraph, p: int, budget: int) -> None:
@@ -86,7 +87,8 @@ def _check_limits(g: LooseGraph, p: int, budget: int) -> None:
     if p < PRIMALITY_LIMIT and not is_prime_power(p):
         raise ValueError(f"count_points(): {p} is not a prime power")
     if p > DEFAULT_PRIME_BOUND:
-        raise ValueError(f"count_points(): prime {p} exceeds the bound {DEFAULT_PRIME_BOUND}")
+        word = "prime" if p < PRIMALITY_LIMIT and is_prime(p) else "q"  # prime only if tested
+        raise ValueError(f"count_points(): {word} {p} exceeds the bound {DEFAULT_PRIME_BOUND}")
     work = estimated_work(g, p)
     if work > budget:
         raise BudgetError(f"count_points(): estimated work {work} exceeds budget {budget}")

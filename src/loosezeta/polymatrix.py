@@ -25,7 +25,7 @@ from .polyring import ExactDivisionError, Poly
 def divmod_exact(p: Poly, d: Poly) -> tuple[Poly, Poly]:
     """Polynomial long division p = q*d + r, valid only when every
     leading-coefficient division along the way is exact over the integers."""
-    if d.is_zero():
+    if not d:
         raise ZeroDivisionError("polynomial division by zero")
     rem, dc, dd = list(p.coeffs), d.coeffs, d.degree
     quo = [0] * max(len(rem) - dd, 0)
@@ -42,7 +42,7 @@ def divmod_exact(p: Poly, d: Poly) -> tuple[Poly, Poly]:
 def exact_div(p: Poly, d: Poly) -> Poly:
     """Exact division; raises ExactDivisionError on any nonzero remainder."""
     q, r = divmod_exact(p, d)
-    if not r.is_zero():
+    if r:
         raise ExactDivisionError("exact polynomial division left a remainder")
     return q
 
@@ -64,11 +64,6 @@ class PolyMatrix:
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("PolyMatrix is immutable")
-
-    @classmethod
-    def identity(cls, n: int) -> "PolyMatrix":
-        one, zero = Poly.one(), Poly.zero()
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
     def det(self) -> Poly:
         """Exact determinant by the modular kernel of the module docstring;

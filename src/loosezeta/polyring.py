@@ -68,16 +68,8 @@ class Poly:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    @property
-    def leading(self) -> int:
-        """Leading coefficient (0 for the zero polynomial)."""
-        return self.coeffs[-1] if self.coeffs else 0
-
     def coefficient(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -160,8 +152,6 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    __call__ = evaluate
-
     def to_json(self) -> list[str]:
         """Little-endian coefficient array of decimal strings."""
         return [str(c) for c in self.coeffs]
@@ -180,7 +170,7 @@ L = Poly.monomial(1)
 
 def format_poly(p: Poly, symbol: str) -> str:
     """Human-readable form with descending powers, e.g. ``5L^4 - 4L + 4``."""
-    if p.is_zero():
+    if not p:
         return "0"
     parts: list[str] = []
     for k in range(p.degree, -1, -1):

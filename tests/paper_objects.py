@@ -98,10 +98,9 @@ def count_points_one_set(g: LooseGraph, p: int) -> int:
         return [x + w * step for w in range(p) for x in table]
 
     points: set[int] = set()
-    adjacency = g.adjacency()
     for v in g.vertices:
         base = ppow[index[v]]
-        dirs = sorted([index[u] for u in adjacency[v]] + phantoms.get(v, []))
+        dirs = sorted([index[u] for u in g.neighbors(v)] + phantoms.get(v, []))
         before = [i for i in dirs if i < index[v]]
         table = [0]
         for i in dirs[len(before) :]:

@@ -42,10 +42,17 @@ def test_is_prime():
 
 
 def test_q_past_the_primality_limit_is_refused_by_the_bound():
+    # an untested q is not called prime
     g = parse("vertex a\n")
     for q in (pointcount.PRIMALITY_LIMIT, pointcount.PRIMALITY_LIMIT + 1, 10**30):
-        with pytest.raises(ValueError, match=f"prime {q} exceeds the bound 13"):
+        with pytest.raises(ValueError, match=rf"^count_points\(\): q {q} exceeds the bound 13$"):
             count_points(g, q)
+
+
+@pytest.mark.parametrize("q, word", [(16, "q"), (17, "prime")])
+def test_q_past_the_bound_is_called_prime_only_if_prime(q, word):
+    with pytest.raises(ValueError, match=rf"^count_points\(\): {word} {q} exceeds the bound 13$"):
+        count_points(generate("complete", 3), q)
 
 
 def test_count_projective_line():
@@ -106,10 +113,9 @@ def count_from_definition(g: LooseGraph, p: int) -> int:
     free edge's coordinate pair."""
     coords = ambient_coordinates(g)
     bit = {c: 1 << i for i, c in enumerate(coords)}
-    adj = g.adjacency()
     charts = []
     for v in g.vertices:
-        star = [v, *adj[v], *(f"{v}#loose{i}" for i in range(g.loose_count(v)))]
+        star = [v, *g.neighbors(v), *(f"{v}#loose{i}" for i in range(g.loose_count(v)))]
         charts.append((bit[v], sum(bit[c] for c in star)))
     free_pairs = {bit[f"#free{j}a"] | bit[f"#free{j}b"] for j in range(g.free)}
     count = 0

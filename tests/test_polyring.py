@@ -113,7 +113,8 @@ def test_divmod_exact():
 
 def test_det_identity_and_small():
     for n in range(0, 6):
-        assert PolyMatrix.identity(n).det() == Poly.one()
+        identity = PolyMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+        assert identity.det() == Poly.one()
     m = PolyMatrix([[L, Poly.one()], [Poly.one(), L]])
     assert m.det() == L**2 - 1
     zero_col = PolyMatrix([[Poly.zero(), L], [Poly.zero(), L]])

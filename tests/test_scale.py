@@ -5,6 +5,7 @@ trace."""
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -32,9 +33,11 @@ from loosezeta import (
     resolution_difference,
     serialize,
     surgery_trace,
+    tree_class,
     tree_profile,
 )
 from loosezeta.cli import main
+from loosezeta.grothendieck import _census_class
 from loosezeta.polyring import L
 
 DEFAULT_RECURSION_LIMIT = 1000
@@ -100,6 +103,41 @@ def test_class_census_scale(make, seconds):
     with default_recursion_limit(), within(seconds):
         p = class_polynomial(g)
     assert p.evaluate(1) == g.n_vertices
+
+
+def broom(n: int, hub: str) -> LooseGraph:
+    """A hub joined to n leaves, plus a pendant vertex on one leaf so that
+    the hub is no apex; the label ``hub`` puts it first ("a") or last ("z")."""
+    leaves = [f"l{i:05d}" for i in range(n)]
+    return LooseGraph.build([hub, *leaves, "p"], [(hub, leaf) for leaf in leaves] + [(leaves[0], "p")])
+
+
+def test_class_of_broom_20000_with_its_hub_labelled_first():
+    # cliques grow through later reals in (chart size, label) order, so the
+    # hub comes last; in label order it filtered all its leaves once per leaf
+    # and this took about 15 s
+    g = broom(20_000, "a")
+    with within(1.0):
+        p = class_polynomial(g)
+    assert p == tree_class(g)
+
+
+@pytest.mark.parametrize("hub", ["a", "z"], ids=["hub_first", "hub_last"])
+def test_broom_census_cost_is_linear(hub):
+    # the two sizes alternate, min of 7; the collector is off because its
+    # passes scale with the whole process's heap, not with the broom
+    graphs = broom(5_000, hub), broom(10_000, hub)
+    best = [float("inf")] * 2
+    gc.disable()
+    try:
+        for _ in range(7):
+            for k, g in enumerate(graphs):
+                start = time.perf_counter()
+                _census_class(g)
+                best[k] = min(best[k], time.perf_counter() - start)
+    finally:
+        gc.enable()
+    assert best[1] < 2.5 * best[0], f"{best[0]:.3f}s -> {best[1]:.3f}s"
 
 
 def test_small_grid_class_matches_oracle():
