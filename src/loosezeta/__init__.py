@@ -11,16 +11,15 @@ __version__ = "0.1.0"
 
 _HOMES = {
     "families": "generate serialize",
-    "grothendieck": "class_polynomial resolution_difference tree_class",
+    "grothendieck": "class_polynomial",
     "ihara": "IharaDomainError edge_matrix_inverse ihara_inverse",
-    "loosegraph": "GenerateError LooseGraph LooseGraphError ParseError TreeProfile "
-    "is_connected is_loose_tree parse tree_profile",
+    "loosegraph": "GenerateError LooseGraph LooseGraphError ParseError is_connected is_loose_tree parse",
     "pointcount": "BudgetError VerifyReport count_points verify",
     "polymatrix": "PolyMatrix",
     "polyring": "ExactDivisionError L Poly format_poly",
     "surgery": "NeighborhoodData SurgeryStep SurgeryTrace connected_components induced "
-    "neighborhood reduce resolve spanning_tree surgery_trace",
-    "zeta": "FactoredZeta f1_zeta format_zeta tree_zeta_closed_form",
+    "neighborhood reduce resolution_difference resolve spanning_tree surgery_trace tree_class",
+    "zeta": "FactoredZeta TreeProfile f1_zeta format_zeta tree_profile tree_zeta_closed_form",
 }
 
 __all__ = sorted(name for names in _HOMES.values() for name in names.split())

@@ -30,6 +30,9 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
 
+#: The subcommands, in the order _build_parser() adds them.
+COMMANDS = ("class", "zeta", "ihara", "count", "verify", "trace", "compare", "gen")
+
 #: Default --budget; equal to pointcount.DEFAULT_BUDGET (a test pins it).
 DEFAULT_BUDGET = 10_000_000
 
@@ -265,7 +268,12 @@ def _run_command(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        if argv and not argv[0].startswith("-") and argv[0] not in COMMANDS:
+            # argparse quotes the choices in this message on some versions only
+            choices = ", ".join(map(repr, COMMANDS))
+            parser.error(f"argument command: invalid choice: {argv[0]!r} (choose from {choices})")
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK

@@ -15,61 +15,18 @@ forms.  class_polynomial() adds the census over connected pieces and
 peels a vertex adjacent to a whole piece (a term L^(n-1)) before it
 enumerates cliques, so complete and threshold graphs stay polynomial.
 
-The paper's surgery is kept as an independent route to the same class:
-surgery_trace() (in `surgery`; imported here on first lookup, where the
-benchmark's tracer wraps it) resolves the fundamental edges of a
-spanning tree down to a loose tree whose class is known in closed form,
-subtracting each edge's resolution difference.  The difference of xy
-needs three neighborhood pieces only: with m common neighbors,
-Delta = (L-1)*L^m + (L-1)^2*([glx] + [gly] - [g]) (see
-resolution_difference()).  Each piece is a chart class *as embedded*,
-which matters when two of its loose edges point at the same outside
-vertex.
+The paper's surgery, the independent route to the same class, is in
+`surgery`; the benchmark's tracer finds its names here, on first lookup.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import AbstractSet, Iterable, Mapping
+from typing import AbstractSet, Mapping
 
 from . import _lazy
-from .loosegraph import LooseGraph, LooseGraphError, _adjacency_sets, _components, is_loose_tree
+from .loosegraph import LooseGraph, _adjacency_sets, _components
 from .polyring import L, Poly
-
-# ---------------------------------------------------------------------------
-# Closed forms
-# ---------------------------------------------------------------------------
-
-
-def tree_class(t: LooseGraph) -> Poly:
-    """Class of a connected loose tree from its degree spectrum.
-
-    With n_i vertices of degree d_i > 1, I = (number of such vertices) - 1
-    and E endpoints of degree 1, the class is sum n_i L^d_i - I*L + I + E.
-    An isolated vertex is a single closed point and returns 1 (the formula
-    itself is only meaningful for trees with at least one edge).
-    """
-    if not is_loose_tree(t):
-        raise LooseGraphError(
-            "tree_class(): not a loose tree (empty, disconnected, has a cycle or has free edges)"
-        )
-    nbrs, lm = t._neighbor_map, t._loose_counts
-    return _tree_form([len(nbrs[v]) + lm.get(v, 0) for v in t.vertices])
-
-
-def _tree_form(degrees: list[int]) -> Poly:
-    """tree_class() from the full degrees of a loose tree's vertices."""
-    if degrees == [0]:
-        return Poly.one()
-    inner = [d for d in degrees if d > 1]
-    i = len(inner) - 1
-    coeffs = [0] * (max(degrees) + 2)
-    coeffs[0] = i + degrees.count(1)
-    coeffs[1] = -i
-    for d in inner:
-        coeffs[d] += 1
-    return Poly(coeffs)
-
 
 # ---------------------------------------------------------------------------
 # Embedded chart classes
@@ -102,83 +59,6 @@ def chart_class(charts: Mapping[str, AbstractSet[str]]) -> Poly:
     for (size, c), n in census.items():
         total = total + n * (1 - L) ** (size - 1) * L**c
     return total
-
-
-# ---------------------------------------------------------------------------
-# Resolution differences
-# ---------------------------------------------------------------------------
-
-
-_Charts = dict[str, frozenset[str]]
-
-
-def _edge_charts(
-    adj: Mapping[str, Iterable[str]], x: str, y: str
-) -> tuple[_Charts, _Charts, _Charts]:
-    """Charts of the common neighbors of the edge xy, read from the two
-    unit balls only; ``adj`` may hold neighbor sets or tuples.
-
-    Returns ``(gl, glx, gly)``: each chart maps a common neighbor to its
-    neighbors in the punctured union of the balls, in the x-ball minus y
-    and in the y-ball minus x.
-    """
-    nx, ny = set(adj[x]), set(adj[y])
-    ball_x = nx - {y}
-    ball_y = ny - {x}
-    ball = ball_x | ball_y
-    common = sorted(nx & ny)
-    gl: _Charts = {}
-    glx: _Charts = {}
-    gly: _Charts = {}
-    for v in common:
-        nv = adj[v]
-        gl[v] = frozenset(ball.intersection(nv))
-        glx[v] = frozenset(ball_x.intersection(nv))
-        gly[v] = frozenset(ball_y.intersection(nv))
-    return gl, glx, gly
-
-
-_L_MINUS_1 = L - 1
-_L_MINUS_1_SQUARED = _L_MINUS_1**2
-
-
-def _difference(adj: Mapping[str, Iterable[str]], x: str, y: str) -> Poly:
-    """The resolution difference of the edge xy of the reduced graph held
-    in ``adj``; reads the two unit balls of the edge only."""
-    gl, glx, gly = _edge_charts(adj, x, y)
-    common = frozenset(gl)
-    g = {v: s & common for v, s in gl.items()}
-    brackets = chart_class(glx) + chart_class(gly) - chart_class(g)
-    return _L_MINUS_1 * L ** len(common) + _L_MINUS_1_SQUARED * brackets
-
-
-def resolution_difference(g: LooseGraph, edge: tuple[str, str]) -> Poly:
-    """class(resolve(g, edge)) - class(g), from the edge neighborhood only.
-
-    The paper writes it with eight embedded chart classes, L^2*[gl]
-    - (L-1)*[glx] - (L-1)*[gly] - [C(gl,xy)] + [C(glx,xy)] - [C(glx,y)]
-    + [C(gly,xy)] - [C(gly,x)], the first three summed over the components
-    of gl.  With m common neighbors and [g] the chart class of the plain
-    graph on them, this is
-
-        (L-1)*L^m + (L-1)^2 * ([glx] + [gly] - [g]).
-
-    Why: every clique of a cone is a clique S of the common neighbors plus
-    a set T of tips.  The tips are tokens of every base chart, so the
-    terms with T empty give L^2*[gl] in [C(gl,xy)], which cancels the
-    first bracket, and L^2*[glx] - L*[glx] in the glx cones (likewise for
-    gly).  A tip's chart holds the common neighbors and the other tip, so
-    with T nonempty the tokens S shares are those of the plain graph g;
-    over the five cones these terms sum to -(L-1)^2*[g].  The cliques of
-    tips alone (S empty) leave (L-1)*L^m.  Chart classes add over
-    components, so the per-component sums are the classes of the whole.
-    """
-    if not g.is_reduced():
-        raise LooseGraphError("resolution_difference(): graph must be reduced first")
-    x, y = edge
-    if y not in g._neighbor_map.get(x, ()):
-        raise LooseGraphError(f"resolution_difference(): {x!r}-{y!r} is not an edge")
-    return _difference(g._neighbor_map, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +98,7 @@ def _census_class(g: LooseGraph) -> Poly:
     """The clique census of the charts, added over connected pieces, with
     loose and free edges in closed form and every apex peeled first."""
     adj = _adjacency_sets(g)
-    total = g.free * _L_MINUS_1  # each free edge is a multiplicative group
+    total = g.free * (L - 1)  # each free edge is a multiplicative group
     for v, k in g.loose:  # a loose edge adds a direction to v's chart only
         d = len(adj[v])
         total = total + L ** (d + k) - L**d
@@ -238,4 +118,4 @@ def _census_class(g: LooseGraph) -> Poly:
     return total
 
 
-__getattr__ = _lazy(globals(), {"surgery": "SurgeryStep SurgeryTrace surgery_trace"})
+__getattr__ = _lazy(globals(), {"surgery": "SurgeryStep SurgeryTrace resolution_difference surgery_trace tree_class"})

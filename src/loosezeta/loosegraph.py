@@ -7,15 +7,15 @@ count.  All values are immutable; every operation returns a new graph.  A
 graph derives its neighbor map and loose counts once, on first use.
 
 Serialization and the built-in families live in `families`, the surgery's
-structural operations in `surgery`.  The benchmark's tracer still looks
-their names up here, so each is imported on first lookup.
+structural operations in `surgery` and the tree profile in `zeta`.  The
+benchmark's tracer still looks their names up here, so each is imported
+on first lookup.
 """
 
 from __future__ import annotations
 
 import io
 import re
-from collections import Counter
 from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Mapping
@@ -308,28 +308,10 @@ def is_loose_tree(g: LooseGraph) -> bool:
     return is_connected(g) and g.n_edges == g.n_vertices - 1
 
 
-@value_class
-class TreeProfile:
-    """Degree bookkeeping of a loose tree: counts of degrees > 1, the inner
-    count I = (#inner vertices) - 1 and the number E of degree-1 vertices."""
-
-    degree_counts: tuple[tuple[int, int], ...]
-    inner_minus_one: int
-    endpoints: int
-
-
-def tree_profile(t: LooseGraph) -> TreeProfile:
-    if not is_loose_tree(t):
-        raise LooseGraphError("tree_profile() needs a connected loose tree")
-    degrees = [t.degree(v) for v in t.vertices]
-    counts = Counter(d for d in degrees if d > 1)
-    inner = sum(counts.values())
-    return TreeProfile(tuple(sorted(counts.items())), inner - 1, degrees.count(1))
-
-
 _MOVED = {
     "families": "generate serialize serialize_restoring",
     "surgery": "NeighborhoodData connected_components delete_vertex induced neighborhood "
     "reduce resolve spanning_tree",
+    "zeta": "TreeProfile tree_profile",
 }
 __getattr__ = _lazy(globals(), _MOVED)

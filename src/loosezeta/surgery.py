@@ -1,24 +1,65 @@
 """The paper's surgery, the independent route to class_polynomial(), and
 the structural operations only it and the tests use: induced subgraphs,
 vertex deletion, reduction, edge resolution, components as graphs,
-spanning trees and edge neighborhoods."""
+spanning trees and edge neighborhoods.
+
+surgery_trace() resolves the fundamental edges of a spanning tree down
+to a loose tree of known class (tree_class()), subtracting each edge's
+resolution difference.  With m common neighbors of the edge xy, that is
+Delta = (L-1)*L^m + (L-1)^2*([glx] + [gly] - [g]) (resolution_difference()),
+each piece a chart class *as embedded*, which matters when two of its
+loose edges point at the same outside vertex.  chart_class() is looked
+up on `grothendieck` at each call, where the benchmark's tracer wraps it.
+"""
 
 from __future__ import annotations
 
 from collections import Counter
 from typing import Iterable, Mapping
 
-from .grothendieck import _difference, _edge_charts, _tree_form
-from .loosegraph import (
-    LooseGraph,
-    LooseGraphError,
-    _adjacency_sets,
-    _components,
-    _norm_edge,
-    is_connected,
-    value_class,
-)
+from . import grothendieck
+from .loosegraph import LooseGraph, LooseGraphError, _adjacency_sets, _components, _norm_edge
+from .loosegraph import is_connected, is_loose_tree, value_class
 from .polyring import L, Poly
+
+# ---------------------------------------------------------------------------
+# Loose trees
+# ---------------------------------------------------------------------------
+
+
+def tree_class(t: LooseGraph) -> Poly:
+    """Class of a connected loose tree from its degree spectrum.
+
+    With n_i vertices of degree d_i > 1, I = (number of such vertices) - 1
+    and E endpoints of degree 1, the class is sum n_i L^d_i - I*L + I + E.
+    An isolated vertex is a single closed point and returns 1 (the formula
+    itself is only meaningful for trees with at least one edge).
+    """
+    if not is_loose_tree(t):
+        raise LooseGraphError(
+            "tree_class(): not a loose tree (empty, disconnected, has a cycle or has free edges)"
+        )
+    nbrs, lm = t._neighbor_map, t._loose_counts
+    return _tree_form([len(nbrs[v]) + lm.get(v, 0) for v in t.vertices])
+
+
+def _tree_form(degrees: list[int]) -> Poly:
+    """tree_class() from the full degrees of a loose tree's vertices."""
+    if degrees == [0]:
+        return Poly.one()
+    inner = [d for d in degrees if d > 1]
+    i = len(inner) - 1
+    coeffs = [0] * (max(degrees) + 2)
+    coeffs[0] = i + degrees.count(1)
+    coeffs[1] = -i
+    for d in inner:
+        coeffs[d] += 1
+    return Poly(coeffs)
+
+
+# ---------------------------------------------------------------------------
+# Structural operations
+# ---------------------------------------------------------------------------
 
 
 def induced(g: LooseGraph, keep: Iterable[str]) -> LooseGraph:
@@ -119,8 +160,88 @@ def spanning_tree(g: LooseGraph) -> tuple[LooseGraph, tuple[tuple[str, str], ...
 
 
 # ---------------------------------------------------------------------------
-# Edge neighborhoods for surgery
+# Edge neighborhoods and resolution differences
 # ---------------------------------------------------------------------------
+
+
+def _reduced_edge(g: LooseGraph, edge: tuple[str, str], caller: str) -> tuple[str, str]:
+    """The edge xy, checked to be an edge of the reduced graph g."""
+    if not g.is_reduced():
+        raise LooseGraphError(f"{caller}(): graph must be reduced first")
+    x, y = edge
+    if y not in g._neighbor_map.get(x, ()):
+        raise LooseGraphError(f"{caller}(): {x!r}-{y!r} is not an edge")
+    return x, y
+
+
+_Charts = dict[str, frozenset[str]]
+
+
+def _edge_charts(
+    adj: Mapping[str, Iterable[str]], x: str, y: str
+) -> tuple[_Charts, _Charts, _Charts]:
+    """Charts of the common neighbors of the edge xy, read from the two
+    unit balls only; ``adj`` may hold neighbor sets or tuples.
+
+    Returns ``(gl, glx, gly)``: each chart maps a common neighbor to its
+    neighbors in the punctured union of the balls, in the x-ball minus y
+    and in the y-ball minus x.
+    """
+    nx, ny = set(adj[x]), set(adj[y])
+    ball_x = nx - {y}
+    ball_y = ny - {x}
+    ball = ball_x | ball_y
+    common = sorted(nx & ny)
+    gl: _Charts = {}
+    glx: _Charts = {}
+    gly: _Charts = {}
+    for v in common:
+        nv = adj[v]
+        gl[v] = frozenset(ball.intersection(nv))
+        glx[v] = frozenset(ball_x.intersection(nv))
+        gly[v] = frozenset(ball_y.intersection(nv))
+    return gl, glx, gly
+
+
+_L_MINUS_1 = L - 1
+_L_MINUS_1_SQUARED = _L_MINUS_1**2
+
+
+def _difference(adj: Mapping[str, Iterable[str]], x: str, y: str) -> Poly:
+    """The resolution difference of the edge xy of the reduced graph held
+    in ``adj``; reads the two unit balls of the edge only."""
+    if set(adj[x]).isdisjoint(adj[y]):  # m = 0: each bracket is the class of no chart
+        return _L_MINUS_1
+    gl, glx, gly = _edge_charts(adj, x, y)
+    common = frozenset(gl)
+    g = {v: s & common for v, s in gl.items()}
+    brackets = grothendieck.chart_class(glx) + grothendieck.chart_class(gly) - grothendieck.chart_class(g)
+    return _L_MINUS_1 * L ** len(common) + _L_MINUS_1_SQUARED * brackets
+
+
+def resolution_difference(g: LooseGraph, edge: tuple[str, str]) -> Poly:
+    """class(resolve(g, edge)) - class(g), from the edge neighborhood only.
+
+    The paper writes it with eight embedded chart classes, L^2*[gl]
+    - (L-1)*[glx] - (L-1)*[gly] - [C(gl,xy)] + [C(glx,xy)] - [C(glx,y)]
+    + [C(gly,xy)] - [C(gly,x)], the first three summed over the components
+    of gl.  With m common neighbors and [g] the chart class of the plain
+    graph on them, this is
+
+        (L-1)*L^m + (L-1)^2 * ([glx] + [gly] - [g]).
+
+    Why: every clique of a cone is a clique S of the common neighbors plus
+    a set T of tips.  The tips are tokens of every base chart, so the
+    terms with T empty give L^2*[gl] in [C(gl,xy)], which cancels the
+    first bracket, and L^2*[glx] - L*[glx] in the glx cones (likewise for
+    gly).  A tip's chart holds the common neighbors and the other tip, so
+    with T nonempty the tokens S shares are those of the plain graph g;
+    over the five cones these terms sum to -(L-1)^2*[g].  The cliques of
+    tips alone (S empty) leave (L-1)*L^m.  Chart classes add over
+    components, so the per-component sums are the classes of the whole.
+    """
+    x, y = _reduced_edge(g, edge, "resolution_difference")
+    return _difference(g._neighbor_map, x, y)
 
 
 @value_class
@@ -161,11 +282,7 @@ def neighborhood(g: LooseGraph, edge: tuple[str, str]) -> NeighborhoodData:
     The input must be reduced; the computation that uses this data
     reduces first, so loose edges of the ambient graph never appear here.
     """
-    if not g.is_reduced():
-        raise LooseGraphError("neighborhood(): graph must be reduced first")
-    x, y = edge
-    if y not in g._neighbor_map.get(x, ()):
-        raise LooseGraphError(f"neighborhood(): {x!r}-{y!r} is not an edge")
+    x, y = _reduced_edge(g, edge, "neighborhood")
     charts_gl, charts_glx, charts_gly = _edge_charts(g._neighbor_map, x, y)
     common = sorted(charts_gl)
     cset = set(common)

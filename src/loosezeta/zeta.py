@@ -3,15 +3,16 @@
 A counting polynomial P = sum a_k L^k determines the zeta function
 zeta(t) = prod (t - k)^(-a_k) over its nonzero coefficients, kept here
 in factored form.  For loose trees the same object has a closed form
-read off the degree spectrum, which must (and does) agree with the
-coefficient route.
+read off the degree spectrum (tree_profile()), which must (and does)
+agree with the coefficient route.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable
 
-from .loosegraph import LooseGraph, LooseGraphError, tree_profile, value_class
+from .loosegraph import LooseGraph, LooseGraphError, is_loose_tree, value_class
 from .polyring import Poly
 
 
@@ -43,6 +44,25 @@ def f1_zeta(p: Poly) -> FactoredZeta:
     """Factored zeta of a counting polynomial: one factor (t - k)^(-a_k)
     per nonzero coefficient a_k."""
     return FactoredZeta.build((k, p.coefficient(k)) for k in range(p.degree + 1))
+
+
+@value_class
+class TreeProfile:
+    """Degree bookkeeping of a loose tree: counts of degrees > 1, the inner
+    count I = (#inner vertices) - 1 and the number E of degree-1 vertices."""
+
+    degree_counts: tuple[tuple[int, int], ...]
+    inner_minus_one: int
+    endpoints: int
+
+
+def tree_profile(t: LooseGraph) -> TreeProfile:
+    if not is_loose_tree(t):
+        raise LooseGraphError("tree_profile() needs a connected loose tree")
+    degrees = [t.degree(v) for v in t.vertices]
+    counts = Counter(d for d in degrees if d > 1)
+    inner = sum(counts.values())
+    return TreeProfile(tuple(sorted(counts.items())), inner - 1, degrees.count(1))
 
 
 def tree_zeta_closed_form(t: LooseGraph) -> FactoredZeta:

@@ -112,6 +112,14 @@ STEP5_AFTER = (2, 1, -1, 1, 2)
 STEP5_DELTA = (0, 1, -2, 0, 1)
 
 
+def grid(a: int, b: int) -> LooseGraph:
+    """The a x b grid graph, vertices g<i>_<j>."""
+    name = [[f"g{i}_{j}" for j in range(b)] for i in range(a)]
+    edges = [(name[i][j], name[i][j + 1]) for i in range(a) for j in range(b - 1)]
+    edges += [(name[i][j], name[i + 1][j]) for i in range(a - 1) for j in range(b)]
+    return LooseGraph.build([v for row in name for v in row], edges)
+
+
 def hexloose() -> LooseGraph:
     """The cube with loose edges at three corners and one free edge."""
     cube = generate("hexahedron")

@@ -33,6 +33,9 @@ MOVED = {
     "loosegraph.reduce": "surgery",
     "loosegraph.resolve": "surgery",
     "grothendieck.surgery_trace": "surgery",
+    "grothendieck.tree_class": "surgery",
+    "grothendieck.resolution_difference": "surgery",
+    "loosegraph.tree_profile": "zeta",
     "polyring.PolyMatrix.det": "polymatrix",
     "polyring.exact_div": "polymatrix",
 }

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import time
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import K4_STAR_LG, STEP5_GRAPH_LG, hexloose
 from loosezeta import LooseGraph, ParseError, parse, serialize
+from loosezeta import cli
 from loosezeta.cli import main
 from loosezeta.polyring import Poly, format_poly
 from loosezeta.zeta import FactoredZeta, format_zeta
@@ -209,6 +211,16 @@ def test_gen_unknown_family_exits_2(capsys):
 def test_usage_error_exits_2(capsys):
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
+
+
+def test_unknown_command_message_is_the_same_on_every_python(capsys, monkeypatch):
+    # argparse's own wording of it lost the quotes round the choices in 3.13.13
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", None)
+    code, out, err = run(capsys, ["frobnicate"])
+    choices = "'class', 'zeta', 'ihara', 'count', 'verify', 'trace', 'compare', 'gen'"
+    assert code == 2 and out == ""
+    assert err.endswith(f"error: argument command: invalid choice: 'frobnicate' (choose from {choices})\n")
+    assert "{" + ",".join(cli.COMMANDS) + "}" in cli._build_parser().format_usage()
 
 
 def test_missing_file_exits_2(capsys):

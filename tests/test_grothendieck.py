@@ -19,6 +19,7 @@ from conftest import (
     STEP5_EDGE,
     STEP5_GRAPH_LG,
     corpus_graphs,
+    grid,
     random_loose_graph,
     random_loose_tree,
     relabelled,
@@ -31,6 +32,7 @@ from loosezeta import (
     count_points,
     generate,
     induced,
+    is_connected,
     neighborhood,
     parse,
     reduce,
@@ -39,7 +41,7 @@ from loosezeta import (
     surgery_trace,
     tree_class,
 )
-from loosezeta import grothendieck
+from loosezeta import grothendieck, surgery
 from loosezeta.grothendieck import _census_class, canonical_key, chart_class
 from loosezeta.polyring import L, Poly, exact_div
 from paper_objects import cone, cone_class, local_after, local_before
@@ -523,6 +525,29 @@ def test_surgery_trace_builds_one_graph(monkeypatch):
     assert len(built) == 1 and len(trace.steps) == 6
     assert trace.graph_before(5) == g
     assert len(built) == 2  # a snapshot is built only when asked for
+
+
+def difference_by_the_formula(adj, x, y) -> Poly:
+    """surgery._difference without its shortcut for an edge whose ends
+    share no neighbor: the three chart classes of the formula, always."""
+    gl, glx, gly = surgery._edge_charts(adj, x, y)
+    g = {v: s & gl.keys() for v, s in gl.items()}
+    return (L - 1) * L ** len(gl) + (L - 1) ** 2 * (chart_class(glx) + chart_class(gly) - chart_class(g))
+
+
+def test_trace_is_the_same_without_the_no_common_neighbor_shortcut(monkeypatch):
+    # johnson 5 2 and the random graphs have triangles, so both paths run
+    rng = Random(20251019)
+    graphs = [grid(6, 6), generate("johnson", 5, 2), generate("complete", 5), generate("hexahedron")]
+    graphs += [g for g in (random_loose_graph(rng, 9, 16) for _ in range(60)) if is_connected(g)]
+    calls = []
+    monkeypatch.setattr(grothendieck, "chart_class", lambda charts: calls.append(charts) or chart_class(charts))
+    traces = [surgery_trace(graphs[0])]
+    assert len(traces[0].steps) == 25 and not calls  # no grid edge has a common neighbor
+    traces += [surgery_trace(g) for g in graphs[1:]]
+    assert calls
+    monkeypatch.setattr(surgery, "_difference", difference_by_the_formula)
+    assert [surgery_trace(g) for g in graphs] == traces
 
 
 def test_surgery_trace_errors():

@@ -19,7 +19,7 @@ from random import Random
 import pytest
 
 import loosezeta
-from conftest import hexloose
+from conftest import grid, hexloose
 from loosezeta import (
     IharaDomainError,
     LooseGraph,
@@ -41,13 +41,6 @@ from loosezeta.grothendieck import _census_class
 from loosezeta.polyring import L
 
 DEFAULT_RECURSION_LIMIT = 1000
-
-
-def grid(a: int, b: int) -> LooseGraph:
-    name = [[f"g{i}_{j}" for j in range(b)] for i in range(a)]
-    edges = [(name[i][j], name[i][j + 1]) for i in range(a) for j in range(b - 1)]
-    edges += [(name[i][j], name[i + 1][j]) for i in range(a - 1) for j in range(b)]
-    return LooseGraph.build([v for row in name for v in row], edges)
 
 
 def cocktail(k: int) -> LooseGraph:

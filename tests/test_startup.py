@@ -1,11 +1,12 @@
 """What a CLI process imports, and the value classes that replace dataclasses.
 
 Each subcommand imports only the engine modules it runs, no module
-imports `dataclasses`, and every module imports only the standard library
-and loosezeta itself.  `import loosezeta` is lazy (PEP 562): a public
-name loads its home module on first access.  The eight value classes are
-built by `loosegraph.value_class` and keep the frozen-dataclass contract
-that the rest of the suite relies on.
+imports `dataclasses`, every module imports only the standard library
+and loosezeta itself, and no module imports another's private names
+beyond the few the engine shares.  `import loosezeta` is lazy (PEP 562):
+a public name loads its home module on first access.  The eight value
+classes are built by `loosegraph.value_class` and keep the
+frozen-dataclass contract that the rest of the suite relies on.
 """
 
 from __future__ import annotations
@@ -103,14 +104,14 @@ def test_subcommand_imports_only_its_modules(tmp_path, args, absent, present):
     assert present <= modules
 
 
-def test_class_op_compiles_at_most_1130_lines(tmp_path):
+def test_class_op_compiles_at_most_1005_lines(tmp_path):
     # without bytecode on disk (PYTHONDONTWRITEBYTECODE=1), an op compiles
     # every loosezeta module it loads, and `python -m` adds __main__
     path = tmp_path / "k4.lg"
     path.write_text(serialize(generate("complete", 4)))
     loaded = {m for m in loaded_modules("class", str(path)) if m.startswith("loosezeta")}
     files = {"__init__", "__main__"} | {m.partition(".")[2] for m in loaded if "." in m}
-    assert sum(len((SRC / "loosezeta" / f"{f}.py").read_text().splitlines()) for f in files) <= 1130
+    assert sum(len((SRC / "loosezeta" / f"{f}.py").read_text().splitlines()) for f in files) <= 1005
 
 
 def test_bare_package_import_loads_no_engine_module():
@@ -128,6 +129,26 @@ def test_modules_import_only_the_standard_library_and_loosezeta():
                 imported.add((path.name, node.module.partition(".")[0]))
     assert imported and {name for _, name in imported} >= {"__future__", "itertools"}
     assert not {(f, m) for f, m in imported if m not in sys.stdlib_module_names and m != "loosezeta"}
+
+
+# the private names one engine module may import from another
+SHARED_PRIVATE = {
+    ("", "_lazy"),
+    ("loosegraph", "_adjacency_sets"),
+    ("loosegraph", "_components"),
+    ("loosegraph", "_norm_edge"),
+}
+
+
+def test_modules_import_no_other_modules_private_names():
+    imported = set()
+    for path in sorted((SRC / "loosezeta").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("loosezeta")):
+                module = (node.module or "").removeprefix("loosezeta").lstrip(".")
+                imported |= {(path.name, module, a.name) for a in node.names if a.name.startswith("_")}
+    assert ("grothendieck.py", "", "_lazy") in imported
+    assert {(m, name) for _, m, name in imported} <= SHARED_PRIVATE, imported
 
 
 def test_cli_budget_default_is_the_oracles():
