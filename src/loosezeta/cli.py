@@ -1,16 +1,16 @@
 """Command-line front end.
 
-Subcommands: gen, class, zeta, ihara, count, verify, trace, compare.
-Graphs are read from a path or stdin ("-", the default).  Exit codes:
-0 success, 1 domain error, internal error or closed output, 2
+COMMANDS lists the subcommands, and the parser and the dispatch are built
+from it.  Graphs are read from a path or stdin ("-", the default).  Exit
+codes: 0 success, 1 domain error, internal error or closed output, 2
 parse/usage error, 3 verification failure.  An error prints one
-``error: ...`` line on stderr instead of a traceback.
+``error: ...`` line on stderr instead of a traceback.  The process ends
+in run(), through os._exit, with no interpreter shutdown.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import io
 import json
 import os
@@ -29,9 +29,6 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
-
-#: The subcommands, in the order _build_parser() adds them.
-COMMANDS = ("class", "zeta", "ihara", "count", "verify", "trace", "compare", "gen")
 
 #: Default --budget; equal to pointcount.DEFAULT_BUDGET (a test pins it).
 DEFAULT_BUDGET = 10_000_000
@@ -106,69 +103,39 @@ def _emit(payload: dict, text: str, as_json: bool) -> None:
     _write((json.dumps(payload) if as_json else text) + "\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="loosezeta",
-        description="Exact counting polynomials and zeta functions of loose graphs.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def graph_command(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("input", nargs="?", default="-", help="path to a .lg file, or - for stdin")
-        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-        p.add_argument("--strict", action="store_true", help="require vertex declarations")
-        return p
-
-    graph_command("class", "print the counting polynomial (Grothendieck class)")
-    graph_command("zeta", "print the factored zeta function (inverse form)")
-    graph_command("ihara", "print the inverse Ihara zeta polynomial")
-    pc = graph_command("count", "brute-force point count over a prime field")
-    pc.add_argument("--q", type=int, required=True, metavar="PRIME")
-    pc.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
-    pv = graph_command("verify", "compare the class against brute-force counts")
-    pv.add_argument("--primes", default="2,3,5", metavar="LIST")
-    pv.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
-    graph_command("trace", "print the surgery table down from a loose spanning tree")
-    graph_command("compare", "print class, zeta inverse and Ihara inverse side by side")
-
-    pg = sub.add_parser("gen", help="emit a built-in family as .lg text")
-    pg.add_argument("family")
-    pg.add_argument("params", nargs="*", type=int)
-    return parser
-
-
-def _cmd_class(g: LooseGraph, as_json: bool) -> int:
+def _cmd_class(g: LooseGraph, args: argparse.Namespace) -> int:
     p = class_polynomial(g)
-    _emit({"class": p.to_json()}, format_poly(p, "L"), as_json)
+    _emit({"class": p.to_json()}, format_poly(p, "L"), args.json)
     return EXIT_OK
 
 
-def _cmd_zeta(g: LooseGraph, as_json: bool) -> int:
+def _cmd_zeta(g: LooseGraph, args: argparse.Namespace) -> int:
     from .zeta import f1_zeta, format_zeta
     z = f1_zeta(class_polynomial(g))
-    _emit(z.to_json(), format_zeta(z), as_json)
+    _emit(z.to_json(), format_zeta(z), args.json)
     return EXIT_OK
 
 
-def _cmd_ihara(g: LooseGraph, as_json: bool) -> int:
+def _cmd_ihara(g: LooseGraph, args: argparse.Namespace) -> int:
     from .ihara import ihara_inverse
     p = ihara_inverse(g)
-    _emit({"ihara_inverse": p.to_json()}, format_poly(p, "u"), as_json)
+    _emit({"ihara_inverse": p.to_json()}, format_poly(p, "u"), args.json)
     return EXIT_OK
 
 
-def _cmd_count(g: LooseGraph, q: int, budget: int, as_json: bool) -> int:
+def _cmd_count(g: LooseGraph, args: argparse.Namespace) -> int:
     from .pointcount import count_points
-    _check_prime("--q", q)
-    n = count_points(g, q, budget=budget)
-    _emit({"prime": q, "count": n}, str(n), as_json)
+    budget = _check_budget(args.budget)
+    _check_prime("--q", args.q)
+    n = count_points(g, args.q, budget=budget)
+    _emit({"prime": args.q, "count": n}, str(n), args.json)
     return EXIT_OK
 
 
-def _cmd_verify(g: LooseGraph, primes: list[int], budget: int, as_json: bool) -> int:
+def _cmd_verify(g: LooseGraph, args: argparse.Namespace) -> int:
     from .pointcount import verify
-    report = verify(g, primes, budget=budget)
+    primes = _parse_primes(args.primes)
+    report = verify(g, primes, budget=_check_budget(args.budget))
     lines = [
         f"q={c.prime}: class={c.expected} counted={c.counted} {'ok' if c.ok else 'MISMATCH'}"
         for c in report.checks
@@ -178,15 +145,15 @@ def _cmd_verify(g: LooseGraph, primes: list[int], budget: int, as_json: bool) ->
         f"{'ok' if report.euler_ok else 'MISMATCH'}"
     )
     lines.append("PASS" if report.ok else "FAIL")
-    _emit(report.to_json(), "\n".join(lines), as_json)
+    _emit(report.to_json(), "\n".join(lines), args.json)
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 
-def _cmd_trace(g: LooseGraph, as_json: bool) -> int:
+def _cmd_trace(g: LooseGraph, args: argparse.Namespace) -> int:
     from .families import serialize_restoring
     from .grothendieck import surgery_trace
     trace = surgery_trace(g)
-    if as_json:
+    if args.json:
         # the array json.dumps would write, one row's text live at a time
         texts = serialize_restoring(trace.final_tree, [step.resolved_edge for step in trace.steps])
         first = {"graph": next(texts), "resolvedEdge": None, "delta": None}
@@ -213,7 +180,7 @@ def _cmd_trace(g: LooseGraph, as_json: bool) -> int:
     return EXIT_OK
 
 
-def _cmd_compare(g: LooseGraph, as_json: bool) -> int:
+def _cmd_compare(g: LooseGraph, args: argparse.Namespace) -> int:
     from .ihara import IharaDomainError, ihara_inverse
     from .zeta import f1_zeta, format_zeta
     p = class_polynomial(g)
@@ -236,55 +203,72 @@ def _cmd_compare(g: LooseGraph, as_json: bool) -> int:
             f"ihara inverse: {ih_text}",
         ]
     )
-    _emit(payload, text, as_json)
+    _emit(payload, text, args.json)
     return EXIT_OK
 
 
-def _cmd_gen(family: str, params: list[int]) -> int:
+def _cmd_gen(args: argparse.Namespace) -> int:
     from .families import generate, serialize
-    _write(serialize(generate(family, *params)))
+    _write(serialize(generate(args.family, *args.params)))
     return EXIT_OK
 
 
-def _run_command(args: argparse.Namespace) -> int:
-    if args.command == "gen":
-        return _cmd_gen(args.family, args.params)
-    g = _read_graph(args.input, args.strict)
-    if args.command == "class":
-        return _cmd_class(g, args.json)
-    if args.command == "zeta":
-        return _cmd_zeta(g, args.json)
-    if args.command == "ihara":
-        return _cmd_ihara(g, args.json)
-    if args.command == "count":
-        return _cmd_count(g, args.q, _check_budget(args.budget), args.json)
-    if args.command == "verify":
-        primes = _parse_primes(args.primes)
-        return _cmd_verify(g, primes, _check_budget(args.budget), args.json)
-    if args.command == "trace":
-        return _cmd_trace(g, args.json)
-    return _cmd_compare(g, args.json)  # argparse admits no other command
+#: The subcommands, in usage order: name -> (help line, handler).  A handler
+#: takes the graph read from its input and the arguments; gen's takes only the arguments.
+COMMANDS = {
+    "class": ("print the counting polynomial (Grothendieck class)", _cmd_class),
+    "zeta": ("print the factored zeta function (inverse form)", _cmd_zeta),
+    "ihara": ("print the inverse Ihara zeta polynomial", _cmd_ihara),
+    "count": ("brute-force point count over a prime field", _cmd_count),
+    "verify": ("compare the class against brute-force counts", _cmd_verify),
+    "trace": ("print the surgery table down from a loose spanning tree", _cmd_trace),
+    "compare": ("print class, zeta inverse and Ihara inverse side by side", _cmd_compare),
+    "gen": ("emit a built-in family as .lg text", _cmd_gen),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="loosezeta",
+        description="Exact counting polynomials and zeta functions of loose graphs.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, handler) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=handler)
+        if handler is _cmd_gen:
+            p.add_argument("family")
+            p.add_argument("params", nargs="*", type=int)
+            continue
+        p.add_argument("input", nargs="?", default="-", help="path to a .lg file, or - for stdin")
+        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+        p.add_argument("--strict", action="store_true", help="require vertex declarations")
+        if handler is _cmd_count:
+            p.add_argument("--q", type=int, required=True, metavar="PRIME")
+        if handler is _cmd_verify:
+            p.add_argument("--primes", default="2,3,5", metavar="LIST")
+        if handler in (_cmd_count, _cmd_verify):
+            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
+    return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else argv
     try:
-        if argv and not argv[0].startswith("-") and argv[0] not in COMMANDS:
-            # argparse quotes the choices in this message on some versions only
+        # argparse quotes the choices in this message on some versions only.  Its own test of
+        # what is positional ('', '-', '-1', 'a b', ...) says when it takes argv[0] as the command
+        if argv and argv[0] not in COMMANDS and parser._parse_optional(argv[0]) is None:
             choices = ", ".join(map(repr, COMMANDS))
             parser.error(f"argument command: invalid choice: {argv[0]!r} (choose from {choices})")
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        code = _run_command(args)
-        sys.stdout.flush()  # a closed stdout fails here, not in the flush at exit
+        code = args.run(args) if args.run is _cmd_gen else args.run(_read_graph(args.input, args.strict), args)
+        sys.stdout.flush()  # a closed stdout fails here, where it is reported, not in run()
         return code
     except BrokenPipeError:
-        # the reader closed stdout: what is still buffered goes to devnull, so
-        # the flush at exit does not fail a second time
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: standard output was closed before all output was written", file=sys.stderr)
         return EXIT_DOMAIN
     except (ParseError, GenerateError, UsageError) as exc:
@@ -302,13 +286,17 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> None:
-    """Entry point of the ``loosezeta`` command and ``python -m loosezeta``:
-    main(), then exit with its code.  gc.freeze() first spares the process
-    the final collection over everything it imported; CPython never
-    promised finalizers at exit, so no output or exit code changes."""
+    """Entry point of the ``loosezeta`` command and ``python -m loosezeta``,
+    and the only code that ends the process: main(), one flush of each stream,
+    then os._exit with main()'s code.  No interpreter shutdown runs: no final
+    collection, no atexit handler and no second flush of a closed stdout."""
     code = main()
-    gc.freeze()
-    sys.exit(code)
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:  # the closed reader main() has reported
+            pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

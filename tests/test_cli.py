@@ -214,13 +214,33 @@ def test_usage_error_exits_2(capsys):
 
 
 def test_unknown_command_message_is_the_same_on_every_python(capsys, monkeypatch):
-    # argparse's own wording of it lost the quotes round the choices in 3.13.13
+    # argparse's own wording of it lost the quotes round the choices in 3.13.13;
+    # it takes a lone "-" and negative numbers as the command, as it does words
     monkeypatch.setattr(argparse.ArgumentParser, "parse_args", None)
-    code, out, err = run(capsys, ["frobnicate"])
     choices = "'class', 'zeta', 'ihara', 'count', 'verify', 'trace', 'compare', 'gen'"
-    assert code == 2 and out == ""
-    assert err.endswith(f"error: argument command: invalid choice: 'frobnicate' (choose from {choices})\n")
-    assert "{" + ",".join(cli.COMMANDS) + "}" in cli._build_parser().format_usage()
+    for word in ("frobnicate", "-", "-1", "-1.5"):
+        code, out, err = run(capsys, [word])
+        assert code == 2 and out == ""
+        assert err.endswith(f"error: argument command: invalid choice: '{word}' (choose from {choices})\n")
+
+
+def test_option_like_first_arguments_keep_argparses_messages(capsys):
+    # argparse reads these as options, not as the command
+    for argv in (["-x"], ["--json"]):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.endswith("error: the following arguments are required: command\n")
+
+
+def test_command_table_drives_the_parser_and_the_dispatch(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one line per command in the help
+    parser = cli._build_parser()
+    for name, (help_text, handler) in cli.COMMANDS.items():
+        argv = {"count": ["count", "--q", "2"], "gen": ["gen", "path", "1"]}.get(name, [name])
+        assert parser.parse_args(argv).run is handler
+    assert "{" + ",".join(cli.COMMANDS) + "}" in parser.format_usage()
+    help_lines = [line.split(None, 1) for line in parser.format_help().splitlines() if line.startswith("    ")]
+    assert help_lines == [[name, help_text] for name, (help_text, _) in cli.COMMANDS.items()]
 
 
 def test_missing_file_exits_2(capsys):

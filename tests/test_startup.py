@@ -104,14 +104,14 @@ def test_subcommand_imports_only_its_modules(tmp_path, args, absent, present):
     assert present <= modules
 
 
-def test_class_op_compiles_at_most_1005_lines(tmp_path):
+def test_class_op_compiles_at_most_993_lines(tmp_path):
     # without bytecode on disk (PYTHONDONTWRITEBYTECODE=1), an op compiles
     # every loosezeta module it loads, and `python -m` adds __main__
     path = tmp_path / "k4.lg"
     path.write_text(serialize(generate("complete", 4)))
     loaded = {m for m in loaded_modules("class", str(path)) if m.startswith("loosezeta")}
     files = {"__init__", "__main__"} | {m.partition(".")[2] for m in loaded if "." in m}
-    assert sum(len((SRC / "loosezeta" / f"{f}.py").read_text().splitlines()) for f in files) <= 1005
+    assert sum(len((SRC / "loosezeta" / f"{f}.py").read_text().splitlines()) for f in files) <= 993
 
 
 def test_bare_package_import_loads_no_engine_module():
@@ -198,14 +198,27 @@ def test_process_matches_main_byte_for_byte(tmp_path, capsys, monkeypatch, expec
     assert (err == b"") == (code in (0, 3))
 
 
-def test_run_freezes_the_heap_after_main_then_exits_with_its_code(monkeypatch):
-    # main() itself never freezes: tests and library callers run it in process
+class FlushRecorder:
+    def __init__(self, name: str, calls: list, fails: bool):
+        self.name, self.calls, self.fails = name, calls, fails
+
+    def flush(self) -> None:
+        self.calls.append(self.name)
+        if self.fails:
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["open", "closed-reader"])
+def test_run_flushes_both_streams_then_exits_with_mains_code(monkeypatch, closed):
+    # main() itself never exits: tests and library callers run it in process.
+    # A closed reader fails the flush; main() has reported it, so run() goes on
     calls = []
     monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
-    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
-    with pytest.raises(SystemExit) as exc:
-        cli.run()
-    assert exc.value.code == 3 and calls == ["main", "freeze"]
+    monkeypatch.setattr(cli.sys, "stdout", FlushRecorder("stdout", calls, closed))
+    monkeypatch.setattr(cli.sys, "stderr", FlushRecorder("stderr", calls, closed))
+    monkeypatch.setattr(cli.os, "_exit", lambda code: calls.append(("_exit", code)))
+    cli.run()
+    assert calls == ["main", "stdout", "stderr", ("_exit", 3)]
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
