@@ -65,11 +65,10 @@ def _check_budget(budget: int) -> int:
     return budget
 
 
-def _check_prime(what: str, q: int) -> None:
-    from .pointcount import PRIMALITY_LIMIT, is_prime
-    # larger q get count_points()'s bound message, with no primality test
-    if q < PRIMALITY_LIMIT and not is_prime(q):
-        raise UsageError(f"{what} {q} is not prime")
+def _check_q(what: str, q: int) -> None:
+    from .pointcount import PRIME_POWERS
+    if q not in PRIME_POWERS:
+        raise UsageError(f"{what} {q} is not a prime power up to {PRIME_POWERS[-1]}")
 
 
 def _parse_primes(spec: str) -> list[int]:
@@ -80,7 +79,7 @@ def _parse_primes(spec: str) -> list[int]:
     if not primes:
         raise UsageError("empty --primes list")
     for q in primes:
-        _check_prime("--primes entry", q)
+        _check_q("--primes entry", q)
     return primes
 
 
@@ -126,7 +125,7 @@ def _cmd_ihara(g: LooseGraph, args: argparse.Namespace) -> int:
 def _cmd_count(g: LooseGraph, args: argparse.Namespace) -> int:
     from .pointcount import count_points
     budget = _check_budget(args.budget)
-    _check_prime("--q", args.q)
+    _check_q("--q", args.q)
     n = count_points(g, args.q, budget=budget)
     _emit({"prime": args.q, "count": n}, str(n), args.json)
     return EXIT_OK
@@ -219,7 +218,7 @@ COMMANDS = {
     "class": ("print the counting polynomial (Grothendieck class)", _cmd_class),
     "zeta": ("print the factored zeta function (inverse form)", _cmd_zeta),
     "ihara": ("print the inverse Ihara zeta polynomial", _cmd_ihara),
-    "count": ("brute-force point count over a prime field", _cmd_count),
+    "count": ("brute-force point count over a finite field", _cmd_count),
     "verify": ("compare the class against brute-force counts", _cmd_verify),
     "trace": ("print the surgery table down from a loose spanning tree", _cmd_trace),
     "compare": ("print class, zeta inverse and Ihara inverse side by side", _cmd_compare),
@@ -255,6 +254,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else argv
+    # argparse refuses -h with an argument ('-hx', '-h x') before 3.13 and prints the help from 3.13 on
+    for a in argv[: argv.index("--")] if "--" in argv else argv:
+        if a[:2] == "-h" and a[2:3] not in ("", "="):
+            print(f"error: argument -h/--help: ignored explicit argument {a[2:]!r}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         # argparse quotes the choices in this message on some versions only.  Its own test of
         # what is positional ('', '-', '-1', 'a b', ...) says when it takes argv[0] as the command

@@ -65,9 +65,8 @@ def chart_class(charts: Mapping[str, AbstractSet[str]]) -> Poly:
 # The class polynomial
 # ---------------------------------------------------------------------------
 
-# shared across callers and looked up once per call, on the input graph;
-# inserts are idempotent (same key, same value), so concurrent use under
-# the GIL is safe
+# the last class computed, looked up once per call on the input graph; a key maps only to
+# its own class and each clear or insert is atomic, so concurrent use under the GIL is safe
 _memo: dict[tuple, Poly] = {}
 
 
@@ -85,11 +84,10 @@ def class_polynomial(g: LooseGraph) -> Poly:
     Satisfies P(q) = number of F_q-points for all prime powers q and
     P(1) = number of vertices.
     """
-    if g.is_empty():
-        return Poly.zero()
     key = canonical_key(g)
     result = _memo.get(key)
     if result is None:
+        _memo.clear()
         result = _memo[key] = _census_class(g)
     return result
 

@@ -188,9 +188,6 @@ class LooseGraph:
     def is_reduced(self) -> bool:
         return not self.loose and self.free == 0
 
-    def is_empty(self) -> bool:
-        return not self.vertices and self.free == 0
-
 
 # ---------------------------------------------------------------------------
 # `.lg` text format

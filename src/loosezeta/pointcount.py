@@ -32,7 +32,9 @@ from operator import mul
 from .grothendieck import class_polynomial
 from .loosegraph import LooseGraph, value_class
 
-DEFAULT_PRIME_BOUND = 13
+#: The q the oracle counts at: every prime power up to 13.  Its count is then
+#: #F_q-points, since it enumerates q symbols and never multiplies them.
+PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13)
 DEFAULT_BUDGET = 10_000_000
 #: Most bits in one row: a row holds the keys that differ in their lo digits.
 ROW_BITS = 4096
@@ -44,38 +46,6 @@ class BudgetError(ValueError):
     """Estimated enumeration work exceeds the configured budget."""
 
 
-#: Miller-Rabin with the first 13 primes as bases is exact below this
-#: bound (Sorenson & Webster 2015); larger q are refused by size untested.
-PRIMALITY_LIMIT = 3_317_044_064_679_887_385_961_981
-_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for n < PRIMALITY_LIMIT."""
-    if n < 2:
-        return False
-    for b in _BASES:
-        if n % b == 0:
-            return n == b
-    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
-    d = (n - 1) >> s
-    for b in _BASES:
-        x = pow(b, d, n)
-        if x != 1 and n - 1 not in (pow(x, 1 << i, n) for i in range(s)):
-            return False
-    return True
-
-
-def is_prime_power(n: int) -> bool:
-    """n = r^e for a prime r and some e >= 1; exact for n < PRIMALITY_LIMIT."""
-    if is_prime(n):
-        return True
-    # e >= 2: below PRIMALITY_LIMIT the root is under 2^41, which a float
-    # finds to far less than 1/2
-    roots = ((round(n ** (1 / e)), e) for e in range(2, n.bit_length()))
-    return n > 3 and any(is_prime(r) and r**e == n for r, e in roots)
-
-
 def estimated_work(g: LooseGraph, p: int) -> int:
     """Chart enumeration cost: sum of p^deg(v) plus (p-1) per free edge."""
     lm = g._loose_counts
@@ -83,12 +53,11 @@ def estimated_work(g: LooseGraph, p: int) -> int:
 
 
 def _check_limits(g: LooseGraph, p: int, budget: int) -> None:
-    """Raise unless p is a prime power within the bound whose work fits the budget."""
-    if p < PRIMALITY_LIMIT and not is_prime_power(p):
+    """Raise unless p is in PRIME_POWERS and its work fits the budget."""
+    if p not in PRIME_POWERS:
+        if p > PRIME_POWERS[-1]:
+            raise ValueError(f"count_points(): q {p} exceeds the bound {PRIME_POWERS[-1]}")
         raise ValueError(f"count_points(): {p} is not a prime power")
-    if p > DEFAULT_PRIME_BOUND:
-        word = "prime" if p < PRIMALITY_LIMIT and is_prime(p) else "q"  # prime only if tested
-        raise ValueError(f"count_points(): {word} {p} exceeds the bound {DEFAULT_PRIME_BOUND}")
     work = estimated_work(g, p)
     if work > budget:
         raise BudgetError(f"count_points(): estimated work {work} exceeds budget {budget}")
@@ -256,8 +225,8 @@ class VerifyReport:
 def verify(
     g: LooseGraph, primes: tuple[int, ...] | list[int], budget: int = DEFAULT_BUDGET
 ) -> VerifyReport:
-    """Compare eval(class, q) against the brute-force count for each q in primes
-    (prime powers are admitted too)."""
+    """Compare eval(class, q) against the brute-force count for each q in
+    primes, each one of PRIME_POWERS."""
     for q in primes:
         _check_limits(g, q, budget)
     poly = class_polynomial(g)

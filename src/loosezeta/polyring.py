@@ -36,7 +36,7 @@ class Poly:
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = list(coeffs)
         for c in cs:
-            if not isinstance(c, int):
+            if not isinstance(c, int) or isinstance(c, bool):
                 raise TypeError(f"integer coefficient expected, got {type(c).__name__}")
         while cs and cs[-1] == 0:
             cs.pop()

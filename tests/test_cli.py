@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import K4_STAR_LG, STEP5_GRAPH_LG, hexloose
-from loosezeta import LooseGraph, ParseError, parse, serialize
+from loosezeta import LooseGraph, ParseError, class_polynomial, generate, parse, serialize
 from loosezeta import cli
 from loosezeta.cli import main
 from loosezeta.polyring import Poly, format_poly
@@ -90,8 +90,8 @@ def test_count(capsys):
 
 
 def test_count_usage_errors(capsys):
-    code, _, err = run(capsys, ["count", "--q", "4"], stdin="vertex a\n")
-    assert code == 2 and "not prime" in err
+    code, out, err = run(capsys, ["count", "--q", "6"], stdin="vertex a\n")
+    assert (code, out, err) == (2, "", "error: --q 6 is not a prime power up to 13\n")
     code, _, _ = run(capsys, ["count"], stdin="vertex a\n")
     assert code == 2  # missing required --q
 
@@ -113,30 +113,35 @@ def test_verify_exit_codes(capsys, monkeypatch):
 
 BIG_PRIME = 1000000000000000003
 SEMIPRIME = (10**9 + 7) * (10**9 + 9)
+REFUSED = [0, 1, 6, 10, 12, 14, 15, 16, 17, SEMIPRIME, BIG_PRIME, 10**30]
 
 
 def test_large_q_is_answered_quickly(capsys):
-    bound_line = f"error: count_points(): prime {BIG_PRIME} exceeds the bound 13\n"
-    cases = [
-        (["count", "--q", str(BIG_PRIME)], 1, bound_line),
-        (["verify", "--primes", f"2,{BIG_PRIME}"], 1, bound_line),
-        (["count", "--q", str(SEMIPRIME)], 2, f"error: --q {SEMIPRIME} is not prime\n"),
-        (
-            ["verify", "--primes", f"2,{SEMIPRIME}"],
-            2,
-            f"error: --primes entry {SEMIPRIME} is not prime\n",
-        ),
-    ]
-    for argv, want_code, want_err in cases:
-        start = time.monotonic()
-        code, out, err = run(capsys, argv, stdin="vertex a\n")
-        assert time.monotonic() - start < 2.0, argv
-        assert (code, out, err) == (want_code, "", want_err), argv
+    # every q outside the table is a usage error, whatever its size or factors
+    for q in REFUSED:
+        for argv, what in (["count", "--q", str(q)], "--q"), (["verify", "--primes", f"2,{q}"], "--primes entry"):
+            start = time.monotonic()
+            code, out, err = run(capsys, argv, stdin="vertex a\n")
+            assert time.monotonic() - start < 2.0, argv
+            assert (code, out, err) == (2, "", f"error: {what} {q} is not a prime power up to 13\n"), argv
 
 
 def test_verify_bad_primes_list(capsys):
-    code, _, err = run(capsys, ["verify", "--primes", "2,4"], stdin="vertex a\n")
-    assert code == 2 and "not prime" in err
+    code, out, err = run(capsys, ["verify", "--primes", "2,6"], stdin="vertex a\n")
+    assert (code, out, err) == (2, "", "error: --primes entry 6 is not a prime power up to 13\n")
+
+
+@pytest.mark.parametrize("name", ["K4", "johnson_5_2", "hexloose"])
+def test_count_and_verify_at_prime_powers(capsys, name):
+    g = {"K4": generate("complete", 4), "johnson_5_2": generate("johnson", 5, 2), "hexloose": hexloose()}[name]
+    text, p = serialize(g), class_polynomial(g)
+    for q in (4, 8, 9):
+        assert run(capsys, ["count", "--q", str(q)], stdin=text) == (0, f"{p.evaluate(q)}\n", "")
+    code, out, err = run(capsys, ["verify", "--primes", "2,3,4,5,7,8,9"], stdin=text)
+    lines = [f"q={q}: class={p.evaluate(q)} counted={p.evaluate(q)} ok" for q in (2, 3, 4, 5, 7, 8, 9)]
+    n = g.n_vertices
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [*lines, f"euler: vertices={n} P(1)={n} ok", "PASS"]
 
 
 def test_parse_error_exits_2(capsys):
@@ -230,6 +235,22 @@ def test_option_like_first_arguments_keep_argparses_messages(capsys):
         code, out, err = run(capsys, argv)
         assert code == 2 and out == ""
         assert err.endswith("error: the following arguments are required: command\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [["-h x"], ["-hx"], ["-h\tx"], ["class", "-h x"], ["class", "K4", "-hx"], ["gen", "-h x"]]
+)
+def test_h_with_an_argument_is_one_usage_line_on_every_python(capsys, monkeypatch, argv):
+    # argparse refuses these before 3.13 and prints the help from 3.13 on
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", None)
+    glued = next(a for a in argv if a.startswith("-h"))
+    assert run(capsys, argv) == (2, "", f"error: argument -h/--help: ignored explicit argument {glued[2:]!r}\n")
+
+
+def test_h_after_double_dash_is_a_path(capsys):
+    code, out, err = run(capsys, ["class", "--", "-h x"])
+    assert (code, out) == (2, "") and err.startswith("error: cannot read -h x: ")
+    assert run(capsys, ["count", "--q", "2", "--", "-"], stdin="vertex a\n") == (0, "1\n", "")
 
 
 def test_command_table_drives_the_parser_and_the_dispatch(monkeypatch):

@@ -45,15 +45,17 @@ GEN = (
 )
 TRIANGLE_WITH_PENDANT = "edge a b\nedge b c\nedge c a\nedge a d\n"
 ERRORS = (
-    # exit 1: domain errors
+    # exit 1: domain errors; error2 is a usage error (exit 2), since 17 is not
+    # in the table of admitted q
     (["ihara"], "edge a b\nedge b c\n", None),
     (["ihara"], TRIANGLE_WITH_PENDANT, None),
     (["count", "--q", "17"], "edge a b\n", None),
     (["count", "--q", "5", "--budget", "3"], TRIANGLE_WITH_PENDANT, None),
     (["verify", "--primes", "2,13", "--budget", "10"], TRIANGLE_WITH_PENDANT, None),
-    # exit 2: parse and usage errors
+    # exit 0: q = 4 is a prime power, so it is admitted
     (["count", "--q", "4"], "vertex a\n", None),
     (["verify", "--primes", "2,4"], "vertex a\n", None),
+    # exit 2: parse and usage errors
     (["verify", "--primes", "2,x"], "vertex a\n", None),
     (["count", "--q", "5", "--budget", "-1"], "vertex a\n", None),
     (["class"], "edge a a\n", None),

@@ -423,8 +423,26 @@ def test_canonical_key_is_the_graphs_fields(monkeypatch):
     assert canonical_key(g) == (g.vertices, g.edges, g.loose, g.free)
     assert canonical_key(relabeled) != canonical_key(g)
     monkeypatch.setattr(grothendieck, "_memo", {})
-    assert class_polynomial(g) == class_polynomial(relabeled)
-    assert len(grothendieck._memo) == 2
+    p = class_polynomial(g)
+    assert list(grothendieck._memo) == [canonical_key(g)]
+    # the relabelled copy missed: its class was computed and stored in g's place
+    assert class_polynomial(relabeled) == p
+    assert list(grothendieck._memo) == [canonical_key(relabeled)]
+
+
+def test_the_memo_keeps_the_last_class_only(monkeypatch):
+    monkeypatch.setattr(grothendieck, "_memo", {})
+    for n in range(1, 51):
+        class_polynomial(generate("path", n))
+    path50 = generate("path", 50)
+    assert list(grothendieck._memo) == [canonical_key(path50)]
+    assert grothendieck._memo[canonical_key(path50)] == class_polynomial(path50)
+
+
+def test_classes_of_empty_and_free_only_graphs():
+    assert class_polynomial(LooseGraph()) == Poly.zero()
+    for k in range(1, 4):
+        assert class_polynomial(LooseGraph.build((), (), (), k)) == k * (L - 1)
 
 
 def test_canonical_key_tells_c6_from_two_triangles(monkeypatch):

@@ -23,36 +23,46 @@ from loosezeta import (
     verify,
 )
 from loosezeta import pointcount
-from loosezeta.pointcount import BudgetError, estimated_work, is_prime, is_prime_power
+from loosezeta.pointcount import BudgetError, estimated_work
 from loosezeta.polyring import L, Poly
 
 
-def test_is_prime():
-    assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+def by_trial_division(n: int) -> bool:
+    """n = r^e for a prime r and some e >= 1."""
+    r = next((d for d in range(2, n + 1) if n % d == 0), None)
+    while r is not None and n % r == 0:
+        n //= r
+    return n == 1 and r is not None
 
-    def by_trial_division(n):
-        return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
 
-    assert all(is_prime(n) == by_trial_division(n) for n in range(-3, 20_000))
-    # the least strong pseudoprimes to the first 8, 11 and 12 prime bases
-    for n in (341550071728321, 3825123056546413051, 318665857834031151167461):
-        assert not is_prime(n)
-    assert is_prime(2**61 - 1) and is_prime(2**89 - 1) and is_prime(10**18 + 3)
-    assert not is_prime((10**9 + 7) * (10**9 + 9))
+PRIME_POWERS = tuple(q for q in range(14) if by_trial_division(q))
+
+
+def test_the_table_is_the_prime_powers_up_to_13():
+    assert pointcount.PRIME_POWERS == PRIME_POWERS == (2, 3, 4, 5, 7, 8, 9, 11, 13)
+
+
+def test_the_oracle_counts_at_the_table_and_nowhere_else():
+    g = parse("vertex a\n")
+    for q in range(-3, 40):
+        if q in PRIME_POWERS:
+            assert count_points(g, q) == 1
+        elif q > 13:
+            with pytest.raises(ValueError, match=rf"^count_points\(\): q {q} exceeds the bound 13$"):
+                count_points(g, q)
+        else:
+            with pytest.raises(ValueError, match=rf"^count_points\(\): {q} is not a prime power$"):
+                count_points(g, q)
 
 
 def test_q_past_the_primality_limit_is_refused_by_the_bound():
-    # an untested q is not called prime
+    # at and past 3,317,044,064,679,887,385,961,981, where the Miller-Rabin
+    # test this check once used stopped being exact
     g = parse("vertex a\n")
-    for q in (pointcount.PRIMALITY_LIMIT, pointcount.PRIMALITY_LIMIT + 1, 10**30):
+    limit = 3_317_044_064_679_887_385_961_981
+    for q in (limit, limit + 1, 10**30):
         with pytest.raises(ValueError, match=rf"^count_points\(\): q {q} exceeds the bound 13$"):
             count_points(g, q)
-
-
-@pytest.mark.parametrize("q, word", [(16, "q"), (17, "prime")])
-def test_q_past_the_bound_is_called_prime_only_if_prime(q, word):
-    with pytest.raises(ValueError, match=rf"^count_points\(\): {word} {q} exceeds the bound 13$"):
-        count_points(generate("complete", 3), q)
 
 
 def test_count_projective_line():
@@ -87,12 +97,15 @@ def test_count_disjoint_union_is_additive():
 
 def test_count_errors():
     g = generate("complete", 3)
-    with pytest.raises(ValueError, match="6 is not a prime power"):
+    with pytest.raises(ValueError, match="^count_points\\(\\): 6 is not a prime power$"):
         count_points(g, 6)
-    with pytest.raises(ValueError, match="bound"):
+    with pytest.raises(ValueError, match="^count_points\\(\\): q 17 exceeds the bound 13$"):
         count_points(g, 17)
     with pytest.raises(BudgetError):
         count_points(g, 5, budget=10)
+    # a q outside the table is refused before its work is estimated
+    with pytest.raises(ValueError, match="6 is not a prime power"):
+        count_points(g, 6, budget=0)
     assert estimated_work(g, 5) == 3 * 25
 
 
@@ -103,8 +116,10 @@ def test_verify_checks_budget_before_the_class(monkeypatch):
     monkeypatch.setattr(pointcount, "class_polynomial", no_class)
     with pytest.raises(BudgetError, match="estimated work 75 exceeds budget 20"):
         verify(generate("complete", 3), [2, 5], budget=20)
-    with pytest.raises(ValueError, match="prime 17 exceeds the bound 13"):
+    with pytest.raises(ValueError, match="q 17 exceeds the bound 13"):
         verify(generate("complete", 3), [2, 17])
+    with pytest.raises(ValueError, match="6 is not a prime power"):
+        verify(generate("complete", 3), [2, 6])
 
 
 def count_from_definition(g: LooseGraph, p: int) -> int:
@@ -239,17 +254,6 @@ def test_rows_take_the_coordinates_free_in_the_most_keys():
     with recording_rows(record):
         assert count_points(g, p) == class_polynomial(g).evaluate(p)
     assert 50 * sum(ors) < estimated_work(g, p)
-
-
-PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13)
-
-
-def test_is_prime_power():
-    assert [n for n in range(30) if is_prime_power(n)] == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29]
-    assert [q for q in range(2, 14) if is_prime_power(q)] == list(PRIME_POWERS)
-    assert is_prime_power(2**81) and is_prime_power((2**31 - 1) ** 2) and is_prime_power(2**61 - 1)
-    assert not is_prime_power(2**40 * 3) and not is_prime_power((2**31 - 1) * (2**31 + 11))
-    assert not is_prime_power(-8) and not is_prime_power(1)
 
 
 def interpolate(points: list[tuple[int, int]]) -> Poly:

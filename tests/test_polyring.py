@@ -69,6 +69,14 @@ def test_json_round_trip():
     assert Poly.from_json(big.to_json()) == big
 
 
+@pytest.mark.parametrize("coeffs", [(True, 2), (1, False), (1.0,), ("1",)], ids=["True", "False", "float", "str"])
+def test_coefficients_are_ints_and_not_bools(coeffs):
+    # a bool would print as "True" in the decimal-string JSON
+    bad = next(c for c in coeffs if type(c) is not int)
+    with pytest.raises(TypeError, match=f"^integer coefficient expected, got {type(bad).__name__}$"):
+        Poly(coeffs)
+
+
 @given(coeff_lists, coeff_lists)
 def test_eval_is_ring_homomorphism(a, b):
     p, q = Poly(a), Poly(b)

@@ -104,14 +104,22 @@ def test_subcommand_imports_only_its_modules(tmp_path, args, absent, present):
     assert present <= modules
 
 
-def test_class_op_compiles_at_most_993_lines(tmp_path):
+def compiled_lines(tmp_path, *args: str) -> int:
     # without bytecode on disk (PYTHONDONTWRITEBYTECODE=1), an op compiles
     # every loosezeta module it loads, and `python -m` adds __main__
     path = tmp_path / "k4.lg"
     path.write_text(serialize(generate("complete", 4)))
-    loaded = {m for m in loaded_modules("class", str(path)) if m.startswith("loosezeta")}
+    loaded = {m for m in loaded_modules(*args, str(path)) if m.startswith("loosezeta")}
     files = {"__init__", "__main__"} | {m.partition(".")[2] for m in loaded if "." in m}
-    assert sum(len((SRC / "loosezeta" / f"{f}.py").read_text().splitlines()) for f in files) <= 993
+    return sum(len((SRC / "loosezeta" / f"{f}.py").read_text().splitlines()) for f in files)
+
+
+def test_class_op_compiles_at_most_992_lines(tmp_path):
+    assert compiled_lines(tmp_path, "class") <= 992
+
+
+def test_count_op_compiles_at_most_1230_lines(tmp_path):
+    assert compiled_lines(tmp_path, "count", "--q", "2") <= 1230
 
 
 def test_bare_package_import_loads_no_engine_module():
