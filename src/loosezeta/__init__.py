@@ -17,8 +17,7 @@ _HOMES = {
     "pointcount": "BudgetError VerifyReport count_points verify",
     "polymatrix": "PolyMatrix",
     "polyring": "ExactDivisionError L Poly format_poly",
-    "surgery": "NeighborhoodData SurgeryStep SurgeryTrace connected_components induced "
-    "neighborhood reduce resolution_difference resolve spanning_tree surgery_trace tree_class",
+    "surgery": "SurgeryStep SurgeryTrace resolution_difference surgery_trace tree_class",
     "zeta": "FactoredZeta TreeProfile f1_zeta format_zeta tree_profile tree_zeta_closed_form",
 }
 

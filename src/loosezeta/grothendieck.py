@@ -16,7 +16,7 @@ peels a vertex adjacent to a whole piece (a term L^(n-1)) before it
 enumerates cliques, so complete and threshold graphs stay polynomial.
 
 The paper's surgery, the independent route to the same class, is in
-`surgery`; the benchmark's tracer finds its names here, on first lookup.
+`surgery`; the benchmark's tracer finds three of its names here, on first lookup.
 """
 
 from __future__ import annotations
@@ -116,4 +116,4 @@ def _census_class(g: LooseGraph) -> Poly:
     return total
 
 
-__getattr__ = _lazy(globals(), {"surgery": "SurgeryStep SurgeryTrace resolution_difference surgery_trace tree_class"})
+__getattr__ = _lazy(globals(), {"surgery": "resolution_difference surgery_trace tree_class"})

@@ -8,8 +8,8 @@ graph derives its neighbor map and loose counts once, on first use.
 
 Serialization and the built-in families live in `families`, the surgery's
 structural operations in `surgery` and the tree profile in `zeta`.  The
-benchmark's tracer still looks their names up here, so each is imported
-on first lookup.
+benchmark's tracer still looks the structural operations and
+`tree_profile` up here, so each of those is imported on first lookup.
 """
 
 from __future__ import annotations
@@ -148,12 +148,6 @@ class LooseGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def vertex_set(self) -> frozenset[str]:
-        return frozenset(self.vertices)
-
-    def edge_set(self) -> frozenset[tuple[str, str]]:
-        return frozenset(self.edges)
-
     @cached_property
     def _neighbor_map(self) -> dict[str, tuple[str, ...]]:
         """Sorted neighbor tuples, derived once on first use; never mutated."""
@@ -184,9 +178,6 @@ class LooseGraph:
     def degree(self, v: str) -> int:
         """Full degree: 2-vertex edges plus loose edges at v."""
         return self.graph_degree(v) + self.loose_count(v)
-
-    def is_reduced(self) -> bool:
-        return not self.loose and self.free == 0
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +297,7 @@ def is_loose_tree(g: LooseGraph) -> bool:
 
 
 _MOVED = {
-    "families": "generate serialize serialize_restoring",
-    "surgery": "NeighborhoodData connected_components delete_vertex induced neighborhood "
-    "reduce resolve spanning_tree",
-    "zeta": "TreeProfile tree_profile",
+    "surgery": "connected_components delete_vertex induced neighborhood reduce resolve spanning_tree",
+    "zeta": "tree_profile",
 }
 __getattr__ = _lazy(globals(), _MOVED)

@@ -22,9 +22,9 @@ from typing import Sequence
 from .polyring import ExactDivisionError, Poly
 
 
-def divmod_exact(p: Poly, d: Poly) -> tuple[Poly, Poly]:
-    """Polynomial long division p = q*d + r, valid only when every
-    leading-coefficient division along the way is exact over the integers."""
+def exact_div(p: Poly, d: Poly) -> Poly:
+    """Exact division by long division; raises ExactDivisionError when a
+    leading coefficient does not divide or a remainder is left."""
     if not d:
         raise ZeroDivisionError("polynomial division by zero")
     rem, dc, dd = list(p.coeffs), d.coeffs, d.degree
@@ -36,15 +36,9 @@ def divmod_exact(p: Poly, d: Poly) -> tuple[Poly, Poly]:
         quo[shift] = c
         for i, dci in enumerate(dc):
             rem[shift + i] -= c * dci
-    return Poly(quo), Poly(rem)
-
-
-def exact_div(p: Poly, d: Poly) -> Poly:
-    """Exact division; raises ExactDivisionError on any nonzero remainder."""
-    q, r = divmod_exact(p, d)
-    if r:
+    if any(rem):
         raise ExactDivisionError("exact polynomial division left a remainder")
-    return q
+    return Poly(quo)
 
 
 class PolyMatrix:

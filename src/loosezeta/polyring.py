@@ -11,13 +11,13 @@ only matters when formatting.
 
 Polynomial matrices, their determinant kernel and exact division live
 in `polymatrix`, which only the `ihara` and `compare` commands load.
-The benchmark's tracer still looks their public names up here, so each
-is imported on first lookup.
+The benchmark's tracer still looks `PolyMatrix` and `exact_div` up
+here, so each is imported on first lookup.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import _lazy
 
@@ -156,10 +156,6 @@ class Poly:
         """Little-endian coefficient array of decimal strings."""
         return [str(c) for c in self.coeffs]
 
-    @classmethod
-    def from_json(cls, data: Sequence[str]) -> "Poly":
-        return cls(int(s) for s in data)
-
     def __repr__(self) -> str:
         return f"Poly({format_poly(self, 'x')})"
 
@@ -190,4 +186,4 @@ def format_poly(p: Poly, symbol: str) -> str:
     return " ".join(parts)
 
 
-__getattr__ = _lazy(globals(), {"polymatrix": "PolyMatrix check_bound divmod_exact exact_div"})
+__getattr__ = _lazy(globals(), {"polymatrix": "PolyMatrix exact_div"})

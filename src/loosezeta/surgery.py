@@ -66,7 +66,7 @@ def induced(g: LooseGraph, keep: Iterable[str]) -> LooseGraph:
     """Induced subgraph on a vertex subset; loose counts of kept vertices
     are retained, edges leaving the subset are dropped entirely."""
     ks = set(keep)
-    if not ks <= g.vertex_set():
+    if not ks.issubset(g._neighbor_map):
         raise LooseGraphError("induced(): unknown vertex in subset")
     return LooseGraph.build(
         [v for v in g.vertices if v in ks],
@@ -78,7 +78,7 @@ def induced(g: LooseGraph, keep: Iterable[str]) -> LooseGraph:
 
 def delete_vertex(g: LooseGraph, v: str) -> LooseGraph:
     """Remove a vertex together with all incident (and loose) edges."""
-    if v not in g.vertex_set():
+    if v not in g._neighbor_map:
         raise LooseGraphError(f"no vertex {v!r}")
     rest = [w for w in g.vertices if w != v]
     sub = induced(g, rest)
@@ -99,9 +99,9 @@ def reduce(g: LooseGraph) -> tuple[LooseGraph, Poly]:
 def resolve(g: LooseGraph, edge: tuple[str, str]) -> LooseGraph:
     """Replace a 2-vertex edge by one loose edge at each former endpoint."""
     a, b = edge
-    e = _norm_edge(a, b)
-    if e not in g.edge_set():
+    if b not in g._neighbor_map.get(a, ()):
         raise LooseGraphError(f"resolve(): {a!r}-{b!r} is not a 2-vertex edge of the graph")
+    e = _norm_edge(a, b)
     lm = dict(g.loose)
     lm[a] = lm.get(a, 0) + 1
     lm[b] = lm.get(b, 0) + 1
@@ -166,7 +166,7 @@ def spanning_tree(g: LooseGraph) -> tuple[LooseGraph, tuple[tuple[str, str], ...
 
 def _reduced_edge(g: LooseGraph, edge: tuple[str, str], caller: str) -> tuple[str, str]:
     """The edge xy, checked to be an edge of the reduced graph g."""
-    if not g.is_reduced():
+    if g.loose or g.free:
         raise LooseGraphError(f"{caller}(): graph must be reduced first")
     x, y = edge
     if y not in g._neighbor_map.get(x, ()):

@@ -35,10 +35,6 @@ class FactoredZeta:
     def to_json(self) -> dict:
         return {"factors": [[k, a] for k, a in self.factors]}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "FactoredZeta":
-        return cls.build((int(k), int(a)) for k, a in data["factors"])
-
 
 def f1_zeta(p: Poly) -> FactoredZeta:
     """Factored zeta of a counting polynomial: one factor (t - k)^(-a_k)

@@ -15,14 +15,15 @@ against it.
 from __future__ import annotations
 
 from loosezeta.grothendieck import class_polynomial
-from loosezeta.loosegraph import LooseGraph, LooseGraphError, induced, reduce, resolve
+from loosezeta.loosegraph import LooseGraph, LooseGraphError
 from loosezeta.polyring import L, Poly
+from loosezeta.surgery import induced, reduce, resolve
 
 
 def cone(base: LooseGraph, vertex_part: LooseGraph) -> LooseGraph:
     """Join every base vertex to every vertex-part vertex; loose edges of
     both parts are retained.  Label sets must be disjoint."""
-    overlap = base.vertex_set() & vertex_part.vertex_set()
+    overlap = set(base.vertices) & set(vertex_part.vertices)
     if overlap:
         raise LooseGraphError(f"cone(): overlapping labels {sorted(overlap)}")
     join = [(a, b) for a in base.vertices for b in vertex_part.vertices]
@@ -43,7 +44,7 @@ def cone_class(g1: LooseGraph, g2: LooseGraph) -> Poly:
     """
     if g1.free or g2.free:
         raise LooseGraphError("cone_class(): parts must not have free edges")
-    overlap = g1.vertex_set() & g2.vertex_set()
+    overlap = set(g1.vertices) & set(g2.vertices)
     if overlap:
         raise LooseGraphError(f"cone_class(): overlapping labels {sorted(overlap)}")
     m1, m2 = g1.n_vertices, g2.n_vertices
@@ -61,14 +62,14 @@ def _restricted(g: LooseGraph, edge: tuple[str, str]) -> LooseGraph:
 
 def local_before(g: LooseGraph, edge: tuple[str, str]) -> Poly:
     """Class of g restricted to the projective span of the edge's unit balls."""
-    if not g.is_reduced():
+    if g.loose or g.free:
         raise LooseGraphError("local_before(): graph must be reduced")
     return class_polynomial(_restricted(g, edge))
 
 
 def local_after(g: LooseGraph, edge: tuple[str, str]) -> Poly:
     """Class of the same restriction after resolving the edge."""
-    if not g.is_reduced():
+    if g.loose or g.free:
         raise LooseGraphError("local_after(): graph must be reduced")
     return class_polynomial(resolve(_restricted(g, edge), edge))
 

@@ -8,22 +8,18 @@ large ``gen johnson`` sweep).  To record the cases from a given tree:
 
     PYTHONPATH=path/to/src python tests/test_cli_golden.py
 
-A change that alters any CLI byte on purpose re-records the file and says
-why in CHANGES.md.
+`golden_replay.py` runs the cases; with ``--check`` it replays them on an
+interpreter that has no pytest.  A change that alters any CLI byte on
+purpose re-records the file and says why in CHANGES.md.
 """
 
 from __future__ import annotations
 
-import hashlib
-import io
 import json
-import sys
-from contextlib import contextmanager, redirect_stderr, redirect_stdout
-from pathlib import Path
 
 import pytest
 
-DATA = Path(__file__).with_name("data") / "cli_golden.json"
+from golden_replay import DATA, record, replay
 
 GRAPH_COMMANDS = (
     ["class"],
@@ -70,38 +66,6 @@ ERRORS = (
 )
 
 
-@contextmanager
-def _patched(name: str | None):
-    """Named patches for cases no correct engine reaches on its own."""
-    if name is None:
-        yield
-        return
-    assert name == "class_plus_one", name
-    from loosezeta import pointcount
-
-    original = pointcount.class_polynomial
-    pointcount.class_polynomial = lambda g: original(g) + 1
-    try:
-        yield
-    finally:
-        pointcount.class_polynomial = original
-
-
-def run_case(case: dict) -> dict:
-    """Run one case in process; return its code, stdout and stderr."""
-    from loosezeta.cli import main
-
-    out, err = io.StringIO(), io.StringIO()
-    old_stdin = sys.stdin
-    sys.stdin = io.StringIO(case["stdin"])
-    try:
-        with _patched(case.get("patch")), redirect_stdout(out), redirect_stderr(err):
-            code = main(case["argv"])
-    finally:
-        sys.stdin = old_stdin
-    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
-
-
 def build_cases() -> list[dict]:
     from loosezeta import LooseGraph, generate, serialize
 
@@ -129,13 +93,6 @@ def build_cases() -> list[dict]:
     return cases
 
 
-def record(case: dict) -> dict:
-    result = run_case(case)
-    if case.get("digest"):
-        result["stdout_sha256"] = hashlib.sha256(result.pop("stdout").encode()).hexdigest()
-    return dict(case, **result)
-
-
 GOLDEN = json.loads(DATA.read_text()) if DATA.exists() else []
 
 
@@ -148,8 +105,7 @@ def test_golden_covers_every_subcommand_and_exit_code():
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[c["id"] for c in GOLDEN])
 def test_cli_bytes_match_golden(case):
-    got = record({k: case[k] for k in ("id", "argv", "stdin", "patch", "digest") if k in case})
-    assert got == case
+    assert replay(case) == case
 
 
 if __name__ == "__main__":

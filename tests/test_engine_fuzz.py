@@ -21,8 +21,6 @@ from loosezeta import (
     count_points,
     f1_zeta,
     is_connected,
-    resolve,
-    spanning_tree,
     surgery_trace,
     tree_class,
     tree_zeta_closed_form,
@@ -31,6 +29,7 @@ from loosezeta import grothendieck
 from loosezeta.grothendieck import chart_class
 from loosezeta.pointcount import estimated_work
 from loosezeta.polyring import L
+from loosezeta.surgery import resolve, spanning_tree
 
 #: Enumeration work allowed per oracle call at p = 5, to keep examples fast.
 P5_WORK = 2 * 10**5

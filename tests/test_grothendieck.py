@@ -28,22 +28,18 @@ from loosezeta import (
     LooseGraph,
     LooseGraphError,
     class_polynomial,
-    connected_components,
     count_points,
     generate,
-    induced,
     is_connected,
-    neighborhood,
     parse,
-    reduce,
     resolution_difference,
-    resolve,
     surgery_trace,
     tree_class,
 )
 from loosezeta import grothendieck, surgery
 from loosezeta.grothendieck import _census_class, canonical_key, chart_class
 from loosezeta.polyring import L, Poly, exact_div
+from loosezeta.surgery import connected_components, neighborhood, reduce, resolve
 from paper_objects import cone, cone_class, local_after, local_before
 
 

@@ -16,7 +16,6 @@ from paper_objects import ambient_coordinates, count_points_one_set
 from loosezeta import (
     LooseGraph,
     class_polynomial,
-    connected_components,
     count_points,
     generate,
     parse,
@@ -25,6 +24,7 @@ from loosezeta import (
 from loosezeta import pointcount
 from loosezeta.pointcount import BudgetError, estimated_work
 from loosezeta.polyring import L, Poly
+from loosezeta.surgery import connected_components
 
 
 def by_trial_division(n: int) -> bool:

@@ -5,7 +5,6 @@ trace."""
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 import subprocess
@@ -24,7 +23,6 @@ from loosezeta import (
     IharaDomainError,
     LooseGraph,
     class_polynomial,
-    connected_components,
     count_points,
     edge_matrix_inverse,
     format_poly,
@@ -37,8 +35,9 @@ from loosezeta import (
     tree_profile,
 )
 from loosezeta.cli import main
-from loosezeta.grothendieck import _census_class
+from loosezeta.grothendieck import chart_class
 from loosezeta.polyring import L
+from loosezeta.surgery import connected_components
 
 DEFAULT_RECURSION_LIMIT = 1000
 
@@ -115,22 +114,35 @@ def test_class_of_broom_20000_with_its_hub_labelled_first():
     assert p == tree_class(g)
 
 
+def census_membership_tests(g: LooseGraph) -> int:
+    """Membership tests that chart_class() makes on the charts of g, which
+    has no apex, so the census passes it these charts: tests on the mapping
+    and on each chart are counted."""
+    tests = 0
+
+    class Counting:
+        def __contains__(self, token) -> bool:
+            nonlocal tests
+            tests += 1
+            return super().__contains__(token)
+
+    class Chart(Counting, frozenset):
+        pass
+
+    class Charts(Counting, dict):
+        pass
+
+    chart_class(Charts({v: Chart(g.neighbors(v)) for v in g.vertices}))
+    return tests
+
+
 @pytest.mark.parametrize("hub", ["a", "z"], ids=["hub_first", "hub_last"])
 def test_broom_census_cost_is_linear(hub):
-    # the two sizes alternate, min of 7; the collector is off because its
-    # passes scale with the whole process's heap, not with the broom
-    graphs = broom(5_000, hub), broom(10_000, hub)
-    best = [float("inf")] * 2
-    gc.disable()
-    try:
-        for _ in range(7):
-            for k, g in enumerate(graphs):
-                start = time.perf_counter()
-                _census_class(g)
-                best[k] = min(best[k], time.perf_counter() - start)
-    finally:
-        gc.enable()
-    assert best[1] < 2.5 * best[0], f"{best[0]:.3f}s -> {best[1]:.3f}s"
+    # a count, not a clock, so host load cannot fail it: both labellings make
+    # 10,002 -> 20,002 tests; in label order the hub first made 12,502,501 ->
+    # 50,005,001
+    small, large = (census_membership_tests(broom(n, hub)) for n in (5_000, 10_000))
+    assert large < 2.5 * small, f"{small} -> {large}"
 
 
 def test_small_grid_class_matches_oracle():
