@@ -285,7 +285,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: internal arithmetic error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except Exception as exc:
-        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        detail = f": {exc}" if str(exc) else ""  # MemoryError() has no message
+        print(f"error: internal error: {type(exc).__name__}{detail}", file=sys.stderr)
         return EXIT_DOMAIN
 
 

@@ -211,8 +211,9 @@ def parse(text: str, strict: bool = False) -> LooseGraph:
             implicit.add(name)
             vertices.append(name)
 
-    # lines end at \n, \r\n or \r only, not at the other breaks of splitlines()
-    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+    # one leading U+FEFF is a byte order mark, as some editors save UTF-8; lines
+    # end at \n, \r\n or \r only, not at the other breaks of splitlines()
+    for lineno, raw in enumerate(io.StringIO(text.removeprefix("\ufeff"), newline=None), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

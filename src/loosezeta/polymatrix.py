@@ -177,19 +177,16 @@ def _charpoly(h: list[list[int]], p: int) -> list[int]:
         for r, t in zip(rs, ts):  # row r -= t * row j + 1 ...
             h[r][j:] = [(x - t * y) % p for x, y in zip(h[r][j:], pivot)]
         if rs:  # ... and column j + 1 += t * column r
-            get = itemgetter(*rs) if len(rs) > 1 else lambda row: (row[rs[0]],)
+            get, ts = itemgetter(j + 1, *rs), [1, *ts]
             for row in h:
-                row[j + 1] = (row[j + 1] + sum(map(mul, ts, get(row)))) % p
-    cols: list[list[int]] = []  # cols[k]: coefficient k of each leading block's char poly
-    last = [1]  # the char poly of the leading m x m block
-    for m in range(n):
-        w, t = [], 1  # w[m - 1 - i]: h[i][m] times the subdiagonal from i + 1 to m
-        for i in range(m - 1, -1, -1):
-            t = t * h[i + 1][i] % p
-            w.append(h[i][m] * t % p)
-        cols.append([])
-        nxt = [(x - h[m][m] * y - sum(map(mul, w, reversed(col)))) % p for col, x, y in zip(cols, [0, *last], last)]
-        for col, c in zip(cols, last):
-            col.append(c)
-        last = nxt + [1]
-    return last
+                row[j + 1] = sum(map(mul, ts, get(row))) % p
+    ps = [[1]]  # ps[m]: the char poly of the leading m x m block
+    for m in range(n):  # ps[m + 1] = x ps[m] - sum over i <= m of h[i][m] t ps[i],
+        nxt, t = [0, *ps[m]], 1  # t the product of h[k][k - 1] for k = i + 1 .. m
+        for i in range(m, -1, -1):
+            f = h[i][m] * t % p
+            if f:
+                nxt[: i + 1] = [x - f * y for x, y in zip(nxt, ps[i])]
+            t = t * h[i][i - 1] % p if i else 0
+        ps.append([x % p for x in nxt])
+    return ps[n]

@@ -10,7 +10,6 @@ agree with the coefficient route.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable
 
 from .loosegraph import LooseGraph, LooseGraphError, is_loose_tree, value_class
 from .polyring import Poly
@@ -23,15 +22,6 @@ class FactoredZeta:
 
     factors: tuple[tuple[int, int], ...] = ()
 
-    @classmethod
-    def build(cls, items: Iterable[tuple[int, int]]) -> "FactoredZeta":
-        merged: dict[int, int] = {}
-        for k, a in items:
-            if k < 0:
-                raise ValueError("factor roots must be nonnegative")
-            merged[k] = merged.get(k, 0) + a
-        return cls(tuple(sorted((k, a) for k, a in merged.items() if a != 0)))
-
     def to_json(self) -> dict:
         return {"factors": [[k, a] for k, a in self.factors]}
 
@@ -39,7 +29,7 @@ class FactoredZeta:
 def f1_zeta(p: Poly) -> FactoredZeta:
     """Factored zeta of a counting polynomial: one factor (t - k)^(-a_k)
     per nonzero coefficient a_k."""
-    return FactoredZeta.build((k, p.coefficient(k)) for k in range(p.degree + 1))
+    return FactoredZeta(tuple((k, a) for k, a in enumerate(p.coeffs) if a))
 
 
 @value_class
@@ -71,9 +61,8 @@ def tree_zeta_closed_form(t: LooseGraph) -> FactoredZeta:
     profile = tree_profile(t)  # validates tree-ness
     if not profile.degree_counts and profile.endpoints == 0:
         raise LooseGraphError("tree_zeta_closed_form(): tree needs at least one edge")
-    items = [(0, profile.endpoints + profile.inner_minus_one), (1, -profile.inner_minus_one)]
-    items.extend(profile.degree_counts)
-    return FactoredZeta.build(items)
+    items = [(0, profile.endpoints + profile.inner_minus_one), (1, -profile.inner_minus_one), *profile.degree_counts]
+    return FactoredZeta(tuple((k, a) for k, a in items if a))
 
 
 def _factor_text(k: int) -> str:

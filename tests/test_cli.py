@@ -169,6 +169,19 @@ def test_other_line_breaks_stay_within_the_line(capsys, sep):
     assert (code, out, err) == (2, "", "error: line 1: edge takes exactly two names\n")
 
 
+def test_a_utf8_byte_order_mark_is_accepted(capsys, tmp_path):
+    # the bytes some editors save: EF BB BF, then the text
+    data = b"\xef\xbb\xbf" + K4_STAR_LG.encode()
+    expected = run(capsys, ["class"], stdin=K4_STAR_LG)
+    assert expected[0] == 0
+    path = tmp_path / "bom.lg"
+    path.write_bytes(data)
+    assert run(capsys, ["class", str(path)]) == expected
+    assert run_quiet(["class"], data) == expected
+    code, out, err = run_quiet(["class"], b"vertex a\n" + data)
+    assert (code, out, err) == (2, "", "error: line 2: unknown directive '\\ufeffvertex'\n")
+
+
 def readme_pipelines() -> list[tuple[list[str], list[str], list[str]]]:
     """(gen argv, command argv, expected lines) of each `loosezeta gen ... |
     loosezeta ...` example in README's "Command line" block."""
@@ -383,6 +396,14 @@ def test_unexpected_exception_exits_1_with_one_line(capsys, monkeypatch):
         code, out, err = run(capsys, argv, stdin=K4_STAR_LG)
         assert code == 1 and out == "", argv
         assert err == "error: internal error: KeyError: 'v1'\n", argv
+
+    def out_of_memory(g):
+        raise MemoryError()  # no message, and nothing allocated
+
+    monkeypatch.setattr("loosezeta.cli.class_polynomial", out_of_memory)
+    for argv in (["class", "-"], ["zeta", "--json", "-"]):
+        code, out, err = run(capsys, argv, stdin=K4_STAR_LG)
+        assert (code, out, err) == (1, "", "error: internal error: MemoryError\n"), argv
 
 
 # CLI fuzz: valid .lg texts with a few lines or tokens mutated.  The seeds

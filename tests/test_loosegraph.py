@@ -93,6 +93,19 @@ def test_parse_ends_lines_at_crlf_and_lone_cr():
             parse(f"vertex a{sep}vertex a{sep}")
 
 
+def test_parse_drops_one_leading_byte_order_mark():
+    # some editors save UTF-8 with a byte order mark (U+FEFF) in front
+    assert parse("\ufeffvertex a\nedge a b\n") == parse("vertex a\nedge a b\n")
+    assert parse("\ufeff# header\nedge a b\n").edges == (("a", "b"),)
+    # anywhere else, a second one included, U+FEFF is part of a token
+    with pytest.raises(ParseError, match=r"^line 1: unknown directive '\\ufeffvertex'$"):
+        parse("\ufeff\ufeffvertex a\n")
+    with pytest.raises(ParseError, match=r"^line 2: unknown directive '\\ufeffvertex'$"):
+        parse("vertex a\n\ufeffvertex b\n")
+    with pytest.raises(ParseError, match=r"^line 1: invalid name '\\ufeffa'$"):
+        parse("vertex \ufeffa\n")
+
+
 def test_parse_first_mention_order_and_comments():
     g = parse("# a header\n\nedge z y\nedge y x\nloose w\n")
     assert g.vertices == ("z", "y", "x", "w")

@@ -214,7 +214,7 @@ def test_interpolation_helper_is_sane():
     assert [int(c) for c in coeffs] == [2, -3, 1, 0]
 
 
-def test_det_bareiss_matches_interpolation_on_corpus_matrices():
+def test_det_matches_interpolation_on_corpus_matrices():
     from conftest import corpus_graphs
 
     for name, g in corpus_graphs().items():
@@ -483,3 +483,56 @@ def test_det_takes_one_pass(monkeypatch):
         passes.clear()
         m.det()
         assert passes == [_modulus(_bound_squared(m))]
+
+
+def _det_mod(rows: list[list[int]], p: int) -> int:
+    """det mod p by the test's own Gaussian elimination."""
+    a, det = [row[:] for row in rows], 1
+    for k in range(len(a)):
+        pivot = next((i for i in range(k, len(a)) if a[i][k] % p), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot], det = a[pivot], a[k], -det
+        det = det * a[k][k] % p
+        inv = pow(a[k][k], -1, p)
+        for i in range(k + 1, len(a)):
+            f = a[i][k] * inv % p
+            a[i] = [(x - f * y) % p for x, y in zip(a[i], a[k])]
+    return det % p
+
+
+def _lagrange_mod(xs: list[int], ys: list[int], p: int) -> list[int]:
+    """Coefficients mod p, low to high, of the degree < len(xs) polynomial through the points."""
+    coeffs = [0] * len(xs)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        basis, denominator = [1], 1  # prod of (x - xj) over j != i, and its value at xi
+        for j, xj in enumerate(xs):
+            if j != i:
+                basis = [(low - xj * high) % p for high, low in zip([*basis, 0], [0, *basis])]
+                denominator = denominator * (xi - xj) % p
+        scale = yi * pow(denominator, -1, p) % p
+        coeffs = [(c + scale * b) % p for c, b in zip(coeffs, basis)]
+    return coeffs
+
+
+@st.composite
+def sparse_matrices_mod_p(draw) -> tuple[list[list[int]], int]:
+    """Square matrices of size 0-12 modulo 2^61 - 1 or 101, from almost empty to
+    full.  Sparse ones leave columns with no entry below the subdiagonal, or
+    with the first one further down, as graph matrices do."""
+    p = draw(st.sampled_from([(1 << 61) - 1, 101]))
+    n = draw(st.integers(min_value=0, max_value=12))
+    density = draw(st.sampled_from([0.1, 0.25, 0.5, 1.0]))
+    rng = draw(st.randoms(use_true_random=False))
+    return [[rng.randrange(1, p) if rng.random() < density else 0 for _ in range(n)] for _ in range(n)], p
+
+
+@given(sparse_matrices_mod_p())
+def test_charpoly_is_det_of_x_minus_h(case):
+    # det(xI - H) at the n + 1 points 0..n by elimination, then interpolated
+    h, p = case
+    n = len(h)
+    x_minus_h = [[[(x * (i == j) - e) % p for j, e in enumerate(row)] for i, row in enumerate(h)] for x in range(n + 1)]
+    expected = _lagrange_mod(list(range(n + 1)), [_det_mod(a, p) for a in x_minus_h], p)
+    assert polymatrix._charpoly([row[:] for row in h], p) == expected

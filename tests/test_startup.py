@@ -110,7 +110,9 @@ COMPILE_BOUNDS = [
     (["gen", "path", "1"], 1089),
     (["class", "K4"], 976),
     (["count", "--q", "2", "K4"], 1214),
-    (["ihara", "K4"], 1253),
+    (["ihara", "K4"], 1252),
+    (["zeta", "K4"], 1065),
+    (["compare", "K4"], 1339),
 ]
 
 
