@@ -47,11 +47,14 @@ class UsageError(Exception):
 def _read_graph(path: str, strict: bool) -> LooseGraph:
     name = "stdin" if path == "-" else path
     try:
-        if path == "-":
-            text = sys.stdin.read()
-        else:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+        if path != "-":
+            with open(path, "rb") as fh:
+                data = fh.read()
+        elif sys.stdin is None:  # the process started with stdin closed
+            raise OSError("standard input is closed")
+        else:  # a host's stdin with no byte layer (a StringIO) is read as text
+            data = getattr(sys.stdin, "buffer", sys.stdin).read()
+        text = data if isinstance(data, str) else data.decode("utf-8")  # never the locale's codec
     except OSError as exc:
         raise UsageError(f"cannot read {name}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -88,6 +91,8 @@ def _write(text: str) -> None:
     text layer sits on a raw file, whose write may take only part of the
     bytes once the reader has gone, and the text layer drops the rest."""
     out = sys.stdout
+    if out is None:  # the process started with stdout closed
+        raise BrokenPipeError
     raw = getattr(out, "buffer", None)
     if not isinstance(raw, io.RawIOBase):
         out.write(text)
@@ -298,7 +303,8 @@ def run() -> None:
     code = main()
     for stream in (sys.stdout, sys.stderr):
         try:
-            stream.flush()
+            if stream is not None:  # None: the process started with it closed
+                stream.flush()
         except OSError:  # the closed reader main() has reported
             pass
     os._exit(code)

@@ -292,8 +292,6 @@ def is_connected(g: LooseGraph) -> bool:
 
 def is_loose_tree(g: LooseGraph) -> bool:
     """Connected loose graph whose reduced graph is acyclic; no free edges."""
-    if g.free or not g.vertices:
-        return False
     return is_connected(g) and g.n_edges == g.n_vertices - 1
 
 

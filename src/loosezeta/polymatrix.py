@@ -63,11 +63,7 @@ class PolyMatrix:
         """Exact determinant by the modular kernel of the module docstring;
         raises ValueError for a bound past the moduli table and
         ExactDivisionError if the check node disagrees."""
-        if self.n == 0:
-            return Poly.one()
         h2 = _bound_squared(self)
-        if not h2:  # a zero row
-            return Poly.zero()
         check_bound(h2)
         top = sum(max(e.degree for e in row) for row in self.entries)
         terms = [(i, j, e) for i, row in enumerate(self.entries) for j, e in enumerate(row) if e]
@@ -111,7 +107,7 @@ def _modulus(h2: int) -> int:
 def _det_mod(terms: list[tuple[int, int, Poly]], n: int, top: int, p: int) -> list[int]:
     """Coefficients mod p of det M, given as its nonzero entries (row, column,
     entry), by the shift, the linearisation and the char poly of the module docstring."""
-    size = n * max(e.degree for _, _, e in terms)
+    size = n * max((e.degree for _, _, e in terms), default=0)
     for s in range(top + 1):
         a = [[0] * (size + n) for _ in range(n)]  # [N_0 | N_1 | ... | N_d] of M(v + s)
         for i, j, e in terms:

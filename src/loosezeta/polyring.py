@@ -110,8 +110,6 @@ class Poly:
         if q is None:
             return NotImplemented
         a, b = self.coeffs, q.coeffs
-        if not a or not b:
-            return Poly(())
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca == 0:

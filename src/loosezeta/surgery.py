@@ -81,8 +81,7 @@ def delete_vertex(g: LooseGraph, v: str) -> LooseGraph:
     if v not in g._neighbor_map:
         raise LooseGraphError(f"no vertex {v!r}")
     rest = [w for w in g.vertices if w != v]
-    sub = induced(g, rest)
-    return LooseGraph.build(sub.vertices, sub.edges, sub.loose, g.free)
+    return LooseGraph.build(rest, [e for e in g.edges if v not in e], [(w, k) for w, k in g.loose if w != v], g.free)
 
 
 def reduce(g: LooseGraph) -> tuple[LooseGraph, Poly]:

@@ -24,7 +24,7 @@ from loosezeta import (
 )
 from loosezeta.cli import main
 from loosezeta.polyring import L, Poly, format_poly
-from loosezeta.surgery import connected_components, induced, neighborhood, reduce, resolve, spanning_tree
+from loosezeta.surgery import connected_components, delete_vertex, induced, neighborhood, reduce, resolve, spanning_tree
 from paper_objects import cone
 
 
@@ -251,6 +251,8 @@ def test_is_loose_tree():
     assert not is_loose_tree(generate("cycle", 3))
     assert not is_loose_tree(LooseGraph.build(["a", "b"]))  # disconnected
     assert not is_loose_tree(LooseGraph.build((), (), (), 1))
+    assert not is_loose_tree(LooseGraph())
+    assert not is_loose_tree(LooseGraph.build(["a", "b"], [("a", "b")], (), 1))  # a tree plus a free edge
 
 
 def test_tree_profile():
@@ -339,5 +341,8 @@ def test_induced_and_ambient():
     g = parse("edge a b\nedge b c\nloose c\nfree\n")
     sub = induced(g, ["b", "c"])
     assert set(sub.edges) == {("b", "c")} and dict(sub.loose) == {"c": 1}
+    # delete_vertex keeps the free edge and the other vertices' loose edges
+    assert delete_vertex(g, "b") == LooseGraph(("a", "c"), (), (("c", 1),), 1)
+    assert delete_vertex(g, "c") == LooseGraph(("a", "b"), (("a", "b"),), (), 1)
     # 3 vertices + 1 loose phantom + 2 free phantoms
     assert len(ambient_coordinates(g)) == 6

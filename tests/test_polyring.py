@@ -249,6 +249,8 @@ def test_det_edge_cases():
     assert PolyMatrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]]).det() == Poly.const(18)
     zero_row = PolyMatrix([[L, 1, 2], [0, 0, 0], [L**2, L, 1]])
     assert zero_row.det() == Poly.zero()
+    assert PolyMatrix([[0] * 3] * 3).det() == Poly.zero()  # degree bound -3
+    assert PolyMatrix([[L**3, 1, 2], [0, 0, 0], [L, L**3, 1]]).det() == Poly.zero()
     zero_col = PolyMatrix([[L, 0, 1], [L**3, 0, L], [1, 0, 2]])
     assert zero_col.det() == Poly.zero()
     # after the first elimination step the (1, 1) entry is 0 at every x != 0

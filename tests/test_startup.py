@@ -24,6 +24,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import loosezeta
+import process_checks
 from conftest import relabelled
 from loosezeta import (
     FactoredZeta,
@@ -268,6 +269,13 @@ def test_closed_stdout_exits_1_with_one_error_line(tmp_path, monkeypatch, args, 
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert err == "error: standard output was closed before all output was written\n"
+
+
+@pytest.mark.parametrize("case", process_checks.CASES, ids=[c["id"] for c in process_checks.CASES])
+def test_process_boundary(case):
+    # closed streams, a reader that leaves, stdin's codec: the cases that
+    # `tests/process_checks.py --check` runs on every interpreter
+    assert process_checks.run_case(case) == process_checks.expected(case)
 
 
 # ---------------------------------------------------------------------------
