@@ -300,6 +300,8 @@ def run() -> None:
     and the only code that ends the process: main(), one flush of each stream,
     then os._exit with main()'s code.  No interpreter shutdown runs: no final
     collection, no atexit handler and no second flush of a closed stdout."""
+    if sys.stderr is None:  # started with it closed: print(file=None) would write errors to stdout
+        sys.stderr = open(os.devnull, "w")
     code = main()
     for stream in (sys.stdout, sys.stderr):
         try:

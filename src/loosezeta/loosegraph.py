@@ -4,12 +4,12 @@ A loose graph is an undirected loopless graph whose edges may have two,
 one ("loose edge") or zero ("free edge") endpoints.  Loose edges are
 interchangeable and stored as per-vertex counts; free edges as a single
 count.  All values are immutable; every operation returns a new graph.  A
-graph derives its neighbor map and loose counts once, on first use.
+graph derives its neighbor map and loose counts once, on first use.  parse()
+and LooseGraph.build() check their input by one set of rules, in _Reader.
 
 Serialization and the built-in families live in `families`, the surgery's
-structural operations in `surgery` and the tree profile in `zeta`.  The
-benchmark's tracer still looks the structural operations and
-`tree_profile` up here, so each of those is imported on first lookup.
+structural operations in `surgery` and the tree profile in `zeta`.  The benchmark's
+tracer still looks those and `tree_profile` up here, so each is imported on first lookup.
 """
 
 from __future__ import annotations
@@ -106,37 +106,20 @@ class LooseGraph:
         loose: Mapping[str, int] | Iterable[tuple[str, int]] = (),
         free: int = 0,
     ) -> "LooseGraph":
-        """Validate and normalize library input; parse() makes the same checks
-        per line and constructs its value directly."""
-        vs = list(vertices)
-        vset = set(vs)
-        if len(vs) != len(vset):
-            raise LooseGraphError("duplicate vertex label")
-        for v in vs:
-            if not _NAME_RE.match(v):
-                raise LooseGraphError(f"invalid vertex name {v!r}")
-        eset: set[tuple[str, str]] = set()
+        """Validate and normalize library input by parse()'s strict rules and messages, with no
+        line number; vertices come first, then edges, loose (vertex, count) pairs and free count."""
+        r = _Reader(strict=True)
+        for v in vertices:
+            r.vertex(v)
         for a, b in edges:
-            if a == b:
-                raise LooseGraphError(f"loop at vertex {a!r}")
-            if a not in vset or b not in vset:
-                raise LooseGraphError(f"edge {a!r}-{b!r} uses an undeclared vertex")
-            e = _norm_edge(a, b)
-            if e in eset:
-                raise LooseGraphError(f"duplicate edge {a!r}-{b!r}")
-            eset.add(e)
-        loose_items = loose.items() if isinstance(loose, Mapping) else loose
-        lmap: dict[str, int] = {}
-        for v, k in loose_items:
-            if v not in vset:
-                raise LooseGraphError(f"loose edge at undeclared vertex {v!r}")
-            if k < 0:
+            r.edge(a, b)
+        for v, k in loose.items() if isinstance(loose, Mapping) else loose:
+            r.add_loose(v, k)
+            if k < 0:  # checked after the name; no text gives a negative count
                 raise LooseGraphError("negative loose-edge count")
-            if k:
-                lmap[v] = lmap.get(v, 0) + k
         if free < 0:
             raise LooseGraphError("negative free-edge count")
-        return cls(tuple(vs), tuple(sorted(eset)), tuple(sorted(lmap.items())), free)
+        return r.graph(cls, free)
 
     # -- queries -----------------------------------------------------------
 
@@ -185,75 +168,78 @@ class LooseGraph:
 # ---------------------------------------------------------------------------
 
 
+class _Reader:
+    """The rules of loose-graph input, one copy for parse() and LooseGraph.build(): an
+    error is a ParseError at line ``lineno``, or a LooseGraphError while that is None."""
+
+    def __init__(self, strict: bool):
+        self.strict = strict
+        self.lineno: int | None = None
+        self.names: dict[str, bool] = {}  # name -> first met in an edge or loose line
+        self.edges: dict[tuple[str, str], None] = {}  # input order: sorted() is linear on sorted input
+        self.loose: dict[str, int] = {}
+
+    def error(self, message: str) -> LooseGraphError:
+        return LooseGraphError(message) if self.lineno is None else ParseError(self.lineno, message)
+
+    def vertex(self, name: str, implicit: bool = False) -> None:
+        if name in self.names:
+            raise self.error(f"vertex {name!r} declared {'after its first use' if self.names[name] else 'twice'}")
+        if not _NAME_RE.match(name):
+            raise self.error(f"invalid name {name!r}")
+        if implicit and self.strict:
+            raise self.error(f"undeclared vertex {name!r} (strict mode)")
+        self.names[name] = implicit
+
+    def edge(self, a: str, b: str) -> None:
+        if a == b:
+            raise self.error(f"loop at vertex {a!r}")
+        if a not in self.names:
+            self.vertex(a, True)
+        if b not in self.names:
+            self.vertex(b, True)
+        e = _norm_edge(a, b)
+        if e in self.edges:
+            raise self.error(f"duplicate edge {a} {b}")
+        self.edges[e] = None
+
+    def add_loose(self, name: str, k: int) -> None:
+        if name not in self.names:
+            self.vertex(name, True)
+        if k:
+            self.loose[name] = self.loose.get(name, 0) + k
+
+    def graph(self, cls: type, free: int) -> LooseGraph:
+        return cls(tuple(self.names), tuple(sorted(self.edges)), tuple(sorted(self.loose.items())), free)
+
+
 def parse(text: str, strict: bool = False) -> LooseGraph:
-    """Parse the line-based `.lg` format.
-
-    Lines: ``# comment``, ``vertex NAME``, ``edge A B``, ``loose A``,
-    ``free``.  Vertex order is first-mention order.  In strict mode a
-    vertex must be declared before use in an edge/loose line.  Every
-    check of LooseGraph.build() is made here, with the line number, so
-    the returned graph has passed them all.
-    """
-    vertices: list[str] = []
-    vset: set[str] = set()
-    implicit: set[str] = set()  # first met in an edge or loose line
-    eset: set[tuple[str, str]] = set()
-    loose: dict[str, int] = {}
+    """Parse the line-based `.lg` format: ``# comment``, ``vertex NAME``,
+    ``edge A B``, ``loose A`` and ``free`` lines.  Vertex order is first-mention
+    order.  In strict mode a vertex must be declared before use in an edge or
+    loose line.  The checks are LooseGraph.build()'s; each error names its line."""
+    r = _Reader(strict)
     free = 0
-
-    def mention(name: str, lineno: int) -> None:
-        if name not in vset:  # a name already in vset has passed the check
-            if not _NAME_RE.match(name):
-                raise ParseError(lineno, f"invalid name {name!r}")
-            if strict:
-                raise ParseError(lineno, f"undeclared vertex {name!r} (strict mode)")
-            vset.add(name)
-            implicit.add(name)
-            vertices.append(name)
-
     # one leading U+FEFF is a byte order mark, as some editors save UTF-8; lines
     # end at \n, \r\n or \r only, not at the other breaks of splitlines()
     for lineno, raw in enumerate(io.StringIO(text.removeprefix("\ufeff"), newline=None), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
             continue
-        fields = line.split()
-        kind, args = fields[0], fields[1:]
-        if kind == "vertex":
-            if len(args) != 1:
-                raise ParseError(lineno, "vertex takes exactly one name")
-            name = args[0]
-            if not _NAME_RE.match(name):
-                raise ParseError(lineno, f"invalid name {name!r}")
-            if name in vset:
-                again = "after its first use" if name in implicit else "twice"
-                raise ParseError(lineno, f"vertex {name!r} declared {again}")
-            vset.add(name)
-            vertices.append(name)
-        elif kind == "edge":
-            if len(args) != 2:
-                raise ParseError(lineno, "edge takes exactly two names")
-            a, b = args
-            if a == b:
-                raise ParseError(lineno, f"loop at vertex {a!r}")
-            mention(a, lineno)
-            mention(b, lineno)
-            e = _norm_edge(a, b)
-            if e in eset:
-                raise ParseError(lineno, f"duplicate edge {a} {b}")
-            eset.add(e)
-        elif kind == "loose":
-            if len(args) != 1:
-                raise ParseError(lineno, "loose takes exactly one name")
-            mention(args[0], lineno)
-            loose[args[0]] = loose.get(args[0], 0) + 1
-        elif kind == "free":
-            if args:
-                raise ParseError(lineno, "free takes no arguments")
+        r.lineno = lineno
+        kind, *args = fields
+        if kind == "edge" and len(args) == 2:
+            r.edge(*args)
+        elif kind == "vertex" and len(args) == 1:
+            r.vertex(args[0])
+        elif kind == "loose" and len(args) == 1:
+            r.add_loose(args[0], 1)
+        elif kind == "free" and not args:
             free += 1
         else:
-            raise ParseError(lineno, f"unknown directive {kind!r}")
-    return LooseGraph(tuple(vertices), tuple(sorted(eset)), tuple(sorted(loose.items())), free)
+            takes = {"vertex": "exactly one name", "edge": "exactly two names", "loose": "exactly one name", "free": "no arguments"}
+            raise ParseError(lineno, f"{kind} takes {takes[kind]}" if kind in takes else f"unknown directive {kind!r}")
+    return r.graph(LooseGraph, free)
 
 
 # ---------------------------------------------------------------------------

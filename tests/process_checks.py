@@ -27,6 +27,7 @@ PATH2 = b"vertex v1\nvertex v2\nedge v1 v2\n"
 #: extra environment.  stdout "all" is read in full, None is closed in the
 #: child, and a number is the bytes a reader takes before it leaves (its
 #: command must not read stdin, which is written after the reader has gone).
+#: stderr None is closed in the child: errors then go nowhere, not to stdout.
 CASES = [
     {"id": "stdout-closed", "argv": ["gen", "path", "2"], "stdout": None, "code": 1, "err": CLOSED_OUTPUT},
     {
@@ -78,6 +79,9 @@ CASES = [
         "err": CLOSED_OUTPUT,
     },
     {"id": "unbuffered", "argv": ["gen", "path", "2"], "env": {"PYTHONUNBUFFERED": "1"}, "out": PATH2},
+    {"id": "stderr-closed-parse-error", "argv": ["class"], "stdin": b"bogus\n", "stderr": None, "code": 2},
+    {"id": "stderr-closed-unknown-command", "argv": ["frobnicate"], "stderr": None, "code": 2},
+    {"id": "stderr-closed", "argv": ["gen", "path", "2"], "stderr": None, "out": PATH2},
 ]
 
 
@@ -85,13 +89,13 @@ def run_case(case: dict) -> dict:
     """Run one case in a child; return its code, stdout and stderr."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     env.update(case.get("env", {}))
-    stdin, stdout = case.get("stdin", b""), case.get("stdout", "all")
-    closed = 0 if stdin is None else 1 if stdout is None else None
+    stdin, stdout, stderr = case.get("stdin", b""), case.get("stdout", "all"), case.get("stderr", "all")
+    closed = 0 if stdin is None else 1 if stdout is None else 2 if stderr is None else None
     proc = subprocess.Popen(
         [sys.executable, "-m", "loosezeta", *case["argv"]],
         stdin=None if stdin is None else subprocess.PIPE,
         stdout=None if stdout is None else subprocess.PIPE,
-        stderr=subprocess.PIPE,
+        stderr=None if stderr is None else subprocess.PIPE,
         env=env,
         preexec_fn=None if closed is None else partial(os.closerange, closed, closed + 1),
     )
@@ -100,7 +104,7 @@ def run_case(case: dict) -> dict:
         head = proc.stdout.read(stdout)
         proc.stdout.close()
     out, err = proc.communicate(stdin, timeout=60)
-    return {"code": proc.returncode, "out": head + (out or b""), "err": err.decode(errors="backslashreplace")}
+    return {"code": proc.returncode, "out": head + (out or b""), "err": (err or b"").decode(errors="backslashreplace")}
 
 
 def expected(case: dict) -> dict:

@@ -6,6 +6,8 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_loose_graph
 from paper_objects import ambient_coordinates
@@ -40,8 +42,8 @@ def test_readme_format_example_parses(monkeypatch, tmp_path, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("LooseGraph.build called")
 
-    # parse() makes build()'s checks per line and constructs its value
-    # itself, so neither it nor the class command calls build()
+    # parse() makes build()'s checks, line by line, and constructs its
+    # value itself, so neither it nor the class command calls build()
     monkeypatch.setattr(LooseGraph, "build", refuse)
     assert parse(block, strict=True) == parse(block) == expected
     assert main(["class", str(path)]) == 0
@@ -157,14 +159,75 @@ def test_generate_errors():
 
 
 def test_build_validation():
-    with pytest.raises(LooseGraphError):
-        LooseGraph.build(["a"], [("a", "a")])
-    with pytest.raises(LooseGraphError):
-        LooseGraph.build(["a"], [("a", "b")])
-    with pytest.raises(LooseGraphError):
-        LooseGraph.build(["a", "a"])
-    with pytest.raises(LooseGraphError):
-        LooseGraph.build(["a", "b"], [("a", "b"), ("b", "a")])
+    # strict parse()'s messages, with no line number, as a plain LooseGraphError
+    cases = [
+        ((["a"], [("a", "a")]), "loop at vertex 'a'"),
+        ((["a"], [("a", "b")]), "undeclared vertex 'b' (strict mode)"),
+        ((["a", "a"],), "vertex 'a' declared twice"),
+        ((["a", "b"], [("a", "b"), ("b", "a")]), "duplicate edge b a"),
+        ((["a-b"],), "invalid name 'a-b'"),
+        ((["a"], (), {"b": 1}), "undeclared vertex 'b' (strict mode)"),
+        ((["a"], (), {"a": -1}), "negative loose-edge count"),
+        ((["a"], (), (), -1), "negative free-edge count"),
+    ]
+    for args, message in cases:
+        with pytest.raises(LooseGraphError) as info:
+            LooseGraph.build(*args)
+        assert type(info.value) is LooseGraphError and str(info.value) == message
+
+
+VALID = ["a", "b", "c", "x_1"]
+ODD = ["d", "a-b", "#c", "\u00e9"]  # undeclared, or no name at all; none has whitespace
+
+
+@st.composite
+def directive_lists(draw):
+    """Vertices, edges, loose (vertex, count) pairs and a free count over a few
+    names: mostly declared once and valid, sometimes declared twice, undeclared
+    or invalid.  An edge may be a loop or come again, either way round."""
+    vertices = draw(st.lists(st.sampled_from(VALID), max_size=4, unique=True))
+    odd = draw(st.sampled_from([None, *VALID, *ODD]))
+    if odd is not None and draw(st.booleans()):
+        vertices.append(odd)  # declared twice, or no name declared
+    name = st.sampled_from(vertices + [odd] if odd else vertices or ODD)
+    edges = draw(st.lists(st.tuples(name, name), max_size=4))
+    if edges and draw(st.booleans()):
+        a, b = draw(st.sampled_from(edges))
+        edges.append(draw(st.sampled_from([(a, b), (b, a)])))
+    loose = draw(st.lists(st.tuples(name, st.integers(1, 2)), max_size=3))
+    return vertices, edges, loose, draw(st.integers(0, 2))
+
+
+@given(directive_lists())
+def test_build_and_strict_parse_agree(directives):
+    vertices, edges, loose, free = directives
+    # the same directives, as library values and as strict `.lg` lines in build()'s order
+    text = "".join(
+        [f"vertex {v}\n" for v in vertices]
+        + [f"edge {a} {b}\n" for a, b in edges]
+        + [f"loose {v}\n" * k for v, k in loose]
+        + ["free\n" * free]
+    )
+    try:
+        expected = parse(text, strict=True)
+    except ParseError as exc:
+        with pytest.raises(LooseGraphError) as info:
+            LooseGraph.build(vertices, edges, loose, free)
+        assert type(info.value) is LooseGraphError
+        assert str(info.value) == str(exc).removeprefix(f"line {exc.lineno}: ")
+    else:
+        assert LooseGraph.build(vertices, edges, loose, free) == expected
+
+
+def test_build_keeps_loose_and_free_counts_as_counts():
+    # a count is added once, never expanded into one item per edge
+    g = LooseGraph.build(["o"], (), {"o": 10**12}, 10**12)
+    assert g.loose == (("o", 10**12),) and g.free == 10**12
+    assert LooseGraph.build(["o"], (), [("o", 2), ("o", 0), ("o", 3)]).loose == (("o", 5),)
+    with pytest.raises(LooseGraphError, match="^negative loose-edge count$"):
+        LooseGraph.build(["o"], (), {"o": -(10**12)})
+    with pytest.raises(LooseGraphError, match="^negative free-edge count$"):
+        LooseGraph.build(["o"], (), {"o": 10**12}, -1)
 
 
 def test_reduce():

@@ -108,12 +108,12 @@ def test_subcommand_imports_only_its_modules(tmp_path, args, absent, present):
 # (argv, lines of src/ it may compile); K4 stands for a graph file.  gen is
 # the setup_s probe of every benchmark workload
 COMPILE_BOUNDS = [
-    (["gen", "path", "1"], 1089),
-    (["class", "K4"], 976),
-    (["count", "--q", "2", "K4"], 1214),
-    (["ihara", "K4"], 1252),
-    (["zeta", "K4"], 1065),
-    (["compare", "K4"], 1339),
+    (["gen", "path", "1"], 1081),
+    (["class", "K4"], 968),
+    (["count", "--q", "2", "K4"], 1206),
+    (["ihara", "K4"], 1238),
+    (["zeta", "K4"], 1055),
+    (["compare", "K4"], 1325),
 ]
 
 
