@@ -45,6 +45,15 @@ def _norm_edge(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
+def _count(k: int, what: str) -> int:
+    """build()'s loose or free count, an int by Poly's rule for a coefficient and not negative."""
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise LooseGraphError(f"{what} count {k!r} is not an integer")
+    if k < 0:
+        raise LooseGraphError(f"negative {what} count")
+    return k
+
+
 def value_class(cls: type) -> type:
     """Make ``cls`` an immutable value whose fields are its annotated names,
     with class attributes as defaults.  It gets a positional and keyword
@@ -114,12 +123,8 @@ class LooseGraph:
         for a, b in edges:
             r.edge(a, b)
         for v, k in loose.items() if isinstance(loose, Mapping) else loose:
-            r.add_loose(v, k)
-            if k < 0:  # checked after the name; no text gives a negative count
-                raise LooseGraphError("negative loose-edge count")
-        if free < 0:
-            raise LooseGraphError("negative free-edge count")
-        return r.graph(cls, free)
+            r.add_loose(v, _count(k, "loose-edge"))
+        return r.graph(cls, _count(free, "free-edge"))
 
     # -- queries -----------------------------------------------------------
 

@@ -39,12 +39,15 @@ def tree_class(t: LooseGraph) -> Poly:
         raise LooseGraphError(
             "tree_class(): not a loose tree (empty, disconnected, has a cycle or has free edges)"
         )
-    nbrs, lm = t._neighbor_map, t._loose_counts
-    return _tree_form([len(nbrs[v]) + lm.get(v, 0) for v in t.vertices])
+    return _tree_form(t)
 
 
-def _tree_form(degrees: list[int]) -> Poly:
-    """tree_class() from the full degrees of a loose tree's vertices."""
+def _tree_form(g: LooseGraph) -> Poly:
+    """tree_class() of a loose tree with the full degrees of ``g``'s vertices,
+    unchecked: resolving an edge keeps every full degree, so surgery_trace()
+    reads its final tree's class off its input."""
+    nbrs, lm = g._neighbor_map, g._loose_counts
+    degrees = [len(nbrs[v]) + lm.get(v, 0) for v in g.vertices]
     if degrees == [0]:
         return Poly.one()
     inner = [d for d in degrees if d > 1]
@@ -124,14 +127,13 @@ def connected_components(g: LooseGraph) -> list[LooseGraph]:
     return comps
 
 
-def _bfs_tree(
-    adj: Mapping[str, tuple[str, ...]], vertices: tuple[str, ...]
-) -> tuple[set[tuple[str, str]], list[tuple[str, str]]]:
-    """Tree edges and sorted fundamental edges of the BFS tree of a
-    connected piece, given its sorted neighbor tuples: the root is the
-    smallest label and neighbors are visited in label order, so the tree
-    is a function of the labels."""
-    root = min(vertices)
+def _bfs_tree(g: LooseGraph) -> tuple[tuple[tuple[str, str], ...], list[tuple[str, str]]]:
+    """The edges of the BFS tree of a connected graph and its fundamental
+    edges, each in the order of ``g.edges``: the root is the smallest label
+    and neighbors are visited in label order, so the tree is a function of
+    the labels."""
+    adj = g._neighbor_map
+    root = min(g.vertices)
     tree_edges: set[tuple[str, str]] = set()
     seen = {root}
     order = [root]
@@ -141,8 +143,7 @@ def _bfs_tree(
                 seen.add(u)
                 tree_edges.add(_norm_edge(v, u))
                 order.append(u)
-    edges = ((v, u) for v in vertices for u in adj[v] if v < u)
-    return tree_edges, sorted(e for e in edges if e not in tree_edges)
+    return tuple(e for e in g.edges if e in tree_edges), [e for e in g.edges if e not in tree_edges]
 
 
 def spanning_tree(g: LooseGraph) -> tuple[LooseGraph, tuple[tuple[str, str], ...]]:
@@ -153,9 +154,8 @@ def spanning_tree(g: LooseGraph) -> tuple[LooseGraph, tuple[tuple[str, str], ...
         raise LooseGraphError("spanning_tree(): empty input")
     if not is_connected(g):
         raise LooseGraphError("spanning_tree(): disconnected input")
-    tree_edges, fundamental = _bfs_tree(g._neighbor_map, g.vertices)
-    tree = LooseGraph.build(g.vertices, sorted(tree_edges), g.loose, g.free)
-    return tree, tuple(fundamental)
+    tree_edges, fundamental = _bfs_tree(g)
+    return LooseGraph(g.vertices, tree_edges, g.loose, g.free), tuple(fundamental)
 
 
 # ---------------------------------------------------------------------------
@@ -176,30 +176,24 @@ def _reduced_edge(g: LooseGraph, edge: tuple[str, str], caller: str) -> tuple[st
 _Charts = dict[str, frozenset[str]]
 
 
-def _edge_charts(
-    adj: Mapping[str, Iterable[str]], x: str, y: str
-) -> tuple[_Charts, _Charts, _Charts]:
+def _edge_charts(adj: Mapping[str, Iterable[str]], x: str, y: str) -> tuple[_Charts, _Charts]:
     """Charts of the common neighbors of the edge xy, read from the two
     unit balls only; ``adj`` may hold neighbor sets or tuples.
 
-    Returns ``(gl, glx, gly)``: each chart maps a common neighbor to its
-    neighbors in the punctured union of the balls, in the x-ball minus y
-    and in the y-ball minus x.
+    Returns ``(glx, gly)``: each maps a common neighbor, in no set order,
+    to its neighbors in the x-ball minus y and in the y-ball minus x.  The
+    chart of gl, the punctured union of the balls, is ``glx[v] | gly[v]``.
     """
     nx, ny = set(adj[x]), set(adj[y])
     ball_x = nx - {y}
     ball_y = ny - {x}
-    ball = ball_x | ball_y
-    common = sorted(nx & ny)
-    gl: _Charts = {}
     glx: _Charts = {}
     gly: _Charts = {}
-    for v in common:
+    for v in nx & ny:
         nv = adj[v]
-        gl[v] = frozenset(ball.intersection(nv))
         glx[v] = frozenset(ball_x.intersection(nv))
         gly[v] = frozenset(ball_y.intersection(nv))
-    return gl, glx, gly
+    return glx, gly
 
 
 _L_MINUS_1 = L - 1
@@ -208,14 +202,14 @@ _L_MINUS_1_SQUARED = _L_MINUS_1**2
 
 def _difference(adj: Mapping[str, Iterable[str]], x: str, y: str) -> Poly:
     """The resolution difference of the edge xy of the reduced graph held
-    in ``adj``; reads the two unit balls of the edge only."""
+    in ``adj``, from the two edge charts only: a common neighbor's chart in
+    the plain graph g is the tokens its two charts share, and m counts them."""
     if set(adj[x]).isdisjoint(adj[y]):  # m = 0: each bracket is the class of no chart
         return _L_MINUS_1
-    gl, glx, gly = _edge_charts(adj, x, y)
-    common = frozenset(gl)
-    g = {v: s & common for v, s in gl.items()}
+    glx, gly = _edge_charts(adj, x, y)
+    g = {v: s & gly[v] for v, s in glx.items()}
     brackets = grothendieck.chart_class(glx) + grothendieck.chart_class(gly) - grothendieck.chart_class(g)
-    return _L_MINUS_1 * L ** len(common) + _L_MINUS_1_SQUARED * brackets
+    return _L_MINUS_1 * L ** len(glx) + _L_MINUS_1_SQUARED * brackets
 
 
 def resolution_difference(g: LooseGraph, edge: tuple[str, str]) -> Poly:
@@ -282,7 +276,8 @@ def neighborhood(g: LooseGraph, edge: tuple[str, str]) -> NeighborhoodData:
     reduces first, so loose edges of the ambient graph never appear here.
     """
     x, y = _reduced_edge(g, edge, "neighborhood")
-    charts_gl, charts_glx, charts_gly = _edge_charts(g._neighbor_map, x, y)
+    charts_glx, charts_gly = _edge_charts(g._neighbor_map, x, y)
+    charts_gl = {v: s | charts_gly[v] for v, s in charts_glx.items()}
     common = sorted(charts_gl)
     cset = set(common)
     inner = {v: charts_gl[v] & cset for v in common}
@@ -340,26 +335,25 @@ class SurgeryTrace:
 
 def surgery_trace(g: LooseGraph) -> SurgeryTrace:
     """The paper's surgery on the fundamental edges of the spanning tree
-    of spanning_tree(), in unresolve order like a worked table; builds one
-    graph, the final tree.  Relabelling the input gives another tree."""
+    of spanning_tree(), in unresolve order like a worked table.  Its one
+    graph, the final tree, takes its fields unchecked from the input, which
+    was checked when it was built.  Relabelling the input gives another tree."""
     if not g.vertices or not is_connected(g):
         raise LooseGraphError("surgery_trace(): connected input required")
+    tree_value = _tree_form(g)
+    tree_edges, fundamental = _bfs_tree(g)
     adj = _adjacency_sets(g)
-    loose = Counter(g._loose_counts)
-    # resolving an edge keeps every full degree, so the tree's are the input's
-    tree_value = _tree_form([len(adj[v]) + loose[v] for v in g.vertices])
-    tree_edges, fundamental = _bfs_tree(g._neighbor_map, g.vertices)
     deltas = []
     for x, y in fundamental:  # resolve each edge: Delta, then delete it
         deltas.append(_difference(adj, x, y))
         adj[x].discard(y)
         adj[y].discard(x)
     del adj  # lowers the peak: the tree is built without the neighbor sets
-    loose.update(v for e in fundamental for v in e)
+    loose = Counter(g._loose_counts) + Counter(v for e in fundamental for v in e)
     steps: list[SurgeryStep] = []
     running = tree_value
     for e, delta in zip(reversed(fundamental), reversed(deltas)):
         running = running - delta
         steps.append(SurgeryStep(e, delta, running))
-    tree = LooseGraph.build(g.vertices, tree_edges, loose, g.free)
+    tree = LooseGraph(g.vertices, tree_edges, tuple(sorted(loose.items())), g.free)
     return SurgeryTrace(tuple(steps), tree, tree_value)

@@ -63,6 +63,32 @@ ERRORS = (
     # exit 3: a class that disagrees with the oracle
     (["verify"], TRIANGLE_WITH_PENDANT, "class_plus_one"),
     (["verify", "--json"], TRIANGLE_WITH_PENDANT, "class_plus_one"),
+    # exit 2: one case for each parse error the cases above leave out, and
+    # a q and a prime that are not prime powers
+    (["class"], "vertex a\nsplit a\n", None),
+    (["class"], "edge a\n", None),
+    (["class"], "vertex a\nvertex a\n", None),
+    (["class"], "edge a b\nvertex b\n", None),
+    (["class"], "vertex a-b\n", None),
+    (["count", "--q", "6"], "vertex a\n", None),
+    (["verify", "--primes", "2,6"], "vertex a\n", None),
+)
+# comments, an indented comment, blank lines, CRLF endings and vertices
+# first met in edge and loose lines
+HAND_WRITTEN = (
+    "# a triangle with a tail\r\n"
+    "vertex a\r\n"
+    "\r\n"
+    "edge a b\r\n"
+    "   # the tail\r\n"
+    "edge b c\r\n"
+    "edge c a\r\n"
+    "edge c d\r\n"
+    "edge d b\r\n"
+    "\r\n"
+    "loose d\r\n"
+    "loose e\r\n"
+    "edge e a\r\n"
 )
 
 
@@ -74,13 +100,20 @@ def build_cases() -> list[dict]:
     k4 = generate("complete", 4)
     # cycles and loose edges at once: the trace rows carry loose edges
     k4_loose2 = LooseGraph.build(k4.vertices, k4.edges, {"v1": 2})
+    cube = generate("hexahedron")
+    # loose edges at three corners and a free edge: disconnected, so trace fails
+    cube_loose3_free = LooseGraph.build(cube.vertices, cube.edges, {"000": 1, "011": 2, "111": 1}, 1)
+    triangles = LooseGraph.build("abcwxyz", ["ab", "bc", "ac", "wx", "xy", "wy"])
     graphs = dict(corpus_graphs(), star42=generate("star", 4, 2), K4_loose2=k4_loose2)
+    graphs.update(cube_loose3_free=cube_loose3_free, two_triangles_and_z=triangles, empty=LooseGraph())
+    texts = {name: serialize(g) for name, g in graphs.items()}
+    texts["hand_written"] = HAND_WRITTEN
     cases = []
-    for name, g in graphs.items():
+    for name, text in texts.items():
         for argv in GRAPH_COMMANDS:
             for extra in ([], ["--json"]):
                 full = argv + extra
-                cases.append({"id": f"{name}:{' '.join(full)}", "argv": full, "stdin": serialize(g)})
+                cases.append({"id": f"{name}:{' '.join(full)}", "argv": full, "stdin": text})
     for params in GEN:
         cases.append({"id": "gen " + " ".join(params), "argv": ["gen", *params], "stdin": ""})
     for n in range(1, 10):

@@ -121,6 +121,18 @@ def test_trace_snapshots_follow_the_resolve_chain(g, seed):
     assert trace.final_tree_class == tree_class(trace.final_tree)
 
 
+@given(connected_loose_graphs(), st.integers(0, 2**32 - 1))
+def test_trees_made_from_fields_are_checked_trees(g, seed):
+    # surgery_trace() and spanning_tree() make their trees with the value
+    # constructor from the checked input's fields: build() keeps them as they are
+    g = relabelled(g, Random(seed))[0]
+    trace = surgery_trace(g)
+    for t in (trace.final_tree, spanning_tree(g)[0]):
+        assert t == LooseGraph.build(t.vertices, t.edges, t.loose, t.free)
+    resolved = [step.resolved_edge for step in reversed(trace.steps)]
+    assert resolved == [e for e in g.edges if e not in trace.final_tree.edges]
+
+
 def test_trace_rejects_a_lone_free_edge():
     # shrunk failure: one free edge is a single component, yet it has no
     # spanning tree to trace

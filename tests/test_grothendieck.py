@@ -521,32 +521,37 @@ def test_surgery_trace_builds_one_graph(monkeypatch):
 
     k5 = generate("complete", 5)
     g = LooseGraph.build(k5.vertices, k5.edges, {"v1": 2})
-    built = []
-    build = LooseGraph.build.__func__
+    made = []
+    init = LooseGraph.__init__
 
-    def counting_build(cls, *args, **kwargs):
-        built.append(args)
-        return build(cls, *args, **kwargs)
+    def counting_init(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("surgery_trace() left its own steps")
 
-    monkeypatch.setattr(LooseGraph, "build", classmethod(counting_build))
+    monkeypatch.setattr(LooseGraph, "__init__", counting_init)
     for module in (loosegraph, grothendieck, surgery):
         for name in ("resolve", "spanning_tree", "tree_class"):
             monkeypatch.setattr(module, name, forbidden, raising=False)
     trace = surgery_trace(g)
-    assert len(built) == 1 and len(trace.steps) == 6
+    assert len(made) == 1 and len(trace.steps) == 6
     assert trace.graph_before(5) == g
-    assert len(built) == 2  # a snapshot is built only when asked for
+    assert len(made) == 2  # a snapshot is built only when asked for
 
 
 def difference_by_the_formula(adj, x, y) -> Poly:
     """surgery._difference without its shortcut for an edge whose ends
-    share no neighbor: the three chart classes of the formula, always."""
-    gl, glx, gly = surgery._edge_charts(adj, x, y)
-    g = {v: s & gl.keys() for v, s in gl.items()}
-    return (L - 1) * L ** len(gl) + (L - 1) ** 2 * (chart_class(glx) + chart_class(gly) - chart_class(g))
+    share no neighbor: the three chart classes of the formula, always, each
+    chart a common neighbor's neighbors in the x-ball minus y, the y-ball
+    minus x or the common neighbors, built here from the two balls."""
+    ball_x, ball_y = set(adj[x]) - {y}, set(adj[y]) - {x}
+    common = ball_x & ball_y
+    glx = {v: frozenset(ball_x.intersection(adj[v])) for v in common}
+    gly = {v: frozenset(ball_y.intersection(adj[v])) for v in common}
+    g = {v: frozenset(common.intersection(adj[v])) for v in common}
+    return (L - 1) * L ** len(common) + (L - 1) ** 2 * (chart_class(glx) + chart_class(gly) - chart_class(g))
 
 
 def test_trace_is_the_same_without_the_no_common_neighbor_shortcut(monkeypatch):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 from random import Random
 
@@ -228,6 +229,15 @@ def test_build_keeps_loose_and_free_counts_as_counts():
         LooseGraph.build(["o"], (), {"o": -(10**12)})
     with pytest.raises(LooseGraphError, match="^negative free-edge count$"):
         LooseGraph.build(["o"], (), {"o": 10**12}, -1)
+
+
+@pytest.mark.parametrize("count", [1.5, "1", True, None])
+def test_build_refuses_a_count_that_is_not_an_integer(count):
+    # the rule Poly applies to its coefficients; a bool is not a count
+    with pytest.raises(LooseGraphError, match=f"^loose-edge count {re.escape(repr(count))} is not an integer$"):
+        LooseGraph.build(["o"], (), {"o": count})
+    with pytest.raises(LooseGraphError, match=f"^free-edge count {re.escape(repr(count))} is not an integer$"):
+        LooseGraph.build(["o"], (), [("o", 1)], count)
 
 
 def test_reduce():

@@ -114,6 +114,7 @@ COMPILE_BOUNDS = [
     (["ihara", "K4"], 1238),
     (["zeta", "K4"], 1055),
     (["compare", "K4"], 1325),
+    (["trace", "K4"], 1445),
 ]
 
 
