@@ -25,7 +25,7 @@ from collections import Counter
 from typing import AbstractSet, Mapping
 
 from . import _lazy
-from .loosegraph import LooseGraph, _adjacency_sets, _components
+from .loosegraph import LooseGraph, _components
 from .polyring import L, Poly
 
 # ---------------------------------------------------------------------------
@@ -95,7 +95,7 @@ def class_polynomial(g: LooseGraph) -> Poly:
 def _census_class(g: LooseGraph) -> Poly:
     """The clique census of the charts, added over connected pieces, with
     loose and free edges in closed form and every apex peeled first."""
-    adj = _adjacency_sets(g)
+    adj = {v: set(ns) for v, ns in g._neighbor_map.items()}  # the apex peels edit these
     total = g.free * (L - 1)  # each free edge is a multiplicative group
     for v, k in g.loose:  # a loose edge adds a direction to v's chart only
         d = len(adj[v])

@@ -271,12 +271,6 @@ def _components(adj: Mapping[str, Iterable[str]], vertices: Iterable[str]) -> li
     return parts
 
 
-def _adjacency_sets(g: LooseGraph) -> dict[str, set[str]]:
-    """Mutable neighbor sets: the class census peels apexes off them and
-    the surgery trace deletes its resolved edges from them."""
-    return {v: set(ns) for v, ns in g._neighbor_map.items()}
-
-
 def is_connected(g: LooseGraph) -> bool:
     return len(_components(g._neighbor_map, g.vertices)) + g.free == 1
 

@@ -18,8 +18,7 @@ from collections import Counter
 from typing import Iterable, Mapping
 
 from . import grothendieck
-from .loosegraph import LooseGraph, LooseGraphError, _adjacency_sets, _components, _norm_edge
-from .loosegraph import is_connected, is_loose_tree, value_class
+from .loosegraph import LooseGraph, LooseGraphError, _components, _norm_edge, is_loose_tree, value_class
 from .polyring import L, Poly
 
 # ---------------------------------------------------------------------------
@@ -127,35 +126,35 @@ def connected_components(g: LooseGraph) -> list[LooseGraph]:
     return comps
 
 
-def _bfs_tree(g: LooseGraph) -> tuple[tuple[tuple[str, str], ...], list[tuple[str, str]]]:
-    """The edges of the BFS tree of a connected graph and its fundamental
-    edges, each in the order of ``g.edges``: the root is the smallest label
-    and neighbors are visited in label order, so the tree is a function of
-    the labels."""
-    adj = g._neighbor_map
-    root = min(g.vertices)
-    tree_edges: set[tuple[str, str]] = set()
-    seen = {root}
-    order = [root]
+def _bfs_tree(g: LooseGraph) -> tuple[tuple[tuple[str, str], ...], list[tuple[str, str]]] | None:
+    """The edges of the BFS tree of ``g`` and its fundamental edges, each in
+    the order of ``g.edges``; None if ``g`` is empty, has a free edge or has a
+    vertex the walk misses.  The root is the smallest label and neighbors are
+    visited in label order, so the tree is a function of the labels."""
+    if not g.vertices or g.free:
+        return None
+    adj, order = g._neighbor_map, [min(g.vertices)]
+    seen, tree_edges = set(order), set()
     for v in order:  # grows while it is walked
         for u in adj[v]:
             if u not in seen:
                 seen.add(u)
                 tree_edges.add(_norm_edge(v, u))
                 order.append(u)
+    if len(order) < len(g.vertices):
+        return None
     return tuple(e for e in g.edges if e in tree_edges), [e for e in g.edges if e not in tree_edges]
 
 
 def spanning_tree(g: LooseGraph) -> tuple[LooseGraph, tuple[tuple[str, str], ...]]:
     """Spanning tree keeping all loose edges, plus the sorted fundamental
     edges.  The tree is the BFS tree from the smallest label with neighbors
-    visited in label order; relabelling the input gives another tree."""
-    if not g.vertices:
-        raise LooseGraphError("spanning_tree(): empty input")
-    if not is_connected(g):
-        raise LooseGraphError("spanning_tree(): disconnected input")
-    tree_edges, fundamental = _bfs_tree(g)
-    return LooseGraph(g.vertices, tree_edges, g.loose, g.free), tuple(fundamental)
+    visited in label order, which is also the connectivity check;
+    relabelling the input gives another tree."""
+    walk = _bfs_tree(g)
+    if walk is None:
+        raise LooseGraphError("spanning_tree(): disconnected input" if g.vertices else "spanning_tree(): empty input")
+    return LooseGraph(g.vertices, walk[0], g.loose, g.free), tuple(walk[1])
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +326,9 @@ class SurgeryTrace:
         return self.steps[-1].running_class if self.steps else self.final_tree_class
 
     def graph_before(self, i: int) -> LooseGraph:
-        """The final tree with the edges of steps 0..i restored, built on each call."""
+        """The final tree with the edges of steps 0..i restored, built on each call, for 0 <= i < len(steps)."""
+        if i not in range(len(self.steps)):
+            raise IndexError(f"graph_before(): no step {i} in a trace of {len(self.steps)} steps")
         t, restored = self.final_tree, [step.resolved_edge for step in self.steps[: i + 1]]
         loose = Counter(t._loose_counts) - Counter(v for e in restored for v in e)
         return LooseGraph.build(t.vertices, t.edges + tuple(restored), loose, t.free)
@@ -335,14 +336,18 @@ class SurgeryTrace:
 
 def surgery_trace(g: LooseGraph) -> SurgeryTrace:
     """The paper's surgery on the fundamental edges of the spanning tree
-    of spanning_tree(), in unresolve order like a worked table.  Its one
-    graph, the final tree, takes its fields unchecked from the input, which
-    was checked when it was built.  Relabelling the input gives another tree."""
-    if not g.vertices or not is_connected(g):
+    of spanning_tree(), in unresolve order like a worked table.  Its BFS is
+    the connectivity check, and only the endpoints of fundamental edges get
+    neighbor sets to delete from.  Its one graph, the final tree, takes its
+    fields unchecked from the input, which was checked when it was built.
+    Relabelling the input gives another tree."""
+    walk = _bfs_tree(g)
+    if walk is None:
         raise LooseGraphError("surgery_trace(): connected input required")
+    tree_edges, fundamental = walk
     tree_value = _tree_form(g)
-    tree_edges, fundamental = _bfs_tree(g)
-    adj = _adjacency_sets(g)
+    nbrs = g._neighbor_map
+    adj = {**nbrs, **{v: set(nbrs[v]) for e in fundamental for v in e}}
     deltas = []
     for x, y in fundamental:  # resolve each edge: Delta, then delete it
         deltas.append(_difference(adj, x, y))

@@ -129,6 +129,7 @@ def test_large_q_is_answered_quickly(capsys):
 def test_verify_bad_primes_list(capsys):
     code, out, err = run(capsys, ["verify", "--primes", "2,6"], stdin="vertex a\n")
     assert (code, out, err) == (2, "", "error: --primes entry 6 is not a prime power up to 13\n")
+    assert run(capsys, ["verify", "--primes", ","], stdin="vertex a\n") == (2, "", "error: empty --primes list\n")
 
 
 @pytest.mark.parametrize("name", ["K4", "johnson_5_2", "hexloose"])
@@ -224,6 +225,7 @@ def test_gen_unknown_family_exits_2(capsys):
     assert code == 2
     code, _, err = run(capsys, ["gen", "star", "2", "5"])
     assert code == 2
+    assert run(capsys, ["gen", "path", "0"]) == (2, "", "error: path needs n >= 1\n")
 
 
 def test_usage_error_exits_2(capsys):

@@ -133,6 +133,22 @@ def test_trees_made_from_fields_are_checked_trees(g, seed):
     assert resolved == [e for e in g.edges if e not in trace.final_tree.edges]
 
 
+@given(loose_graphs(), st.integers(0, 2**32 - 1))
+def test_surgery_refuses_exactly_the_graphs_that_are_not_connected(g, seed):
+    # is_connected is the reference; the surgery also needs a vertex to root
+    # its tree at, so it refuses a lone free edge (see the test below)
+    g = relabelled(g, Random(seed))[0]
+    if g.vertices and is_connected(g):
+        assert surgery_trace(g).final_tree.edges == spanning_tree(g)[0].edges
+        return
+    with pytest.raises(LooseGraphError) as info:
+        surgery_trace(g)
+    assert str(info.value) == "surgery_trace(): connected input required"
+    with pytest.raises(LooseGraphError) as info:
+        spanning_tree(g)
+    assert str(info.value) == ("spanning_tree(): disconnected input" if g.vertices else "spanning_tree(): empty input")
+
+
 def test_trace_rejects_a_lone_free_edge():
     # shrunk failure: one free edge is a single component, yet it has no
     # spanning tree to trace

@@ -529,16 +529,24 @@ def test_surgery_trace_builds_one_graph(monkeypatch):
         init(self, *args, **kwargs)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("surgery_trace() left its own steps")
+        raise AssertionError("surgery_trace() left its own steps or walked its input twice")
 
     monkeypatch.setattr(LooseGraph, "__init__", counting_init)
     for module in (loosegraph, grothendieck, surgery):
-        for name in ("resolve", "spanning_tree", "tree_class"):
+        for name in ("resolve", "spanning_tree", "tree_class", "is_connected", "_components"):
             monkeypatch.setattr(module, name, forbidden, raising=False)
     trace = surgery_trace(g)
     assert len(made) == 1 and len(trace.steps) == 6
     assert trace.graph_before(5) == g
     assert len(made) == 2  # a snapshot is built only when asked for
+
+
+def test_graph_before_refuses_a_step_outside_the_trace():
+    trace = surgery_trace(generate("complete", 4))
+    assert len(trace.steps) == 3 and trace.graph_before(2) == generate("complete", 4)
+    for i in (-1, -2, 3, 10):
+        with pytest.raises(IndexError, match=f"^graph_before\\(\\): no step {i} in a trace of 3 steps$"):
+            trace.graph_before(i)
 
 
 def difference_by_the_formula(adj, x, y) -> Poly:

@@ -63,6 +63,9 @@ def test_parse_affine_plane():
     assert g.vertices == ("a",)
     assert g.loose == (("a", 2),)
     assert g.degree("a") == 2
+    for query in (g.neighbors, g.degree):
+        with pytest.raises(LooseGraphError, match="^no vertex 'x'$"):
+            query("x")
 
 
 def test_parse_errors():
@@ -149,14 +152,23 @@ def test_generate_families():
 
 
 def test_generate_errors():
-    with pytest.raises(GenerateError):
-        generate("blorb", 3)
-    with pytest.raises(GenerateError):
-        generate("star", 2, 5)
-    with pytest.raises(GenerateError):
-        generate("cycle", 2)
-    with pytest.raises(GenerateError):
-        generate("complete")
+    cases = [
+        (("blorb", 3), "unknown family 'blorb'"),
+        (("star", 2, 5), "star needs 0 <= k <= n"),
+        (("cycle", 2), "cycle needs n >= 3"),
+        (("complete",), "complete takes 1 parameter(s), got 0"),
+        (("complete", 0), "complete needs n >= 1"),
+        (("projective", -1), "projective needs n >= 0"),
+        (("star", 0, 0), "star needs n >= 1"),
+        (("affine", -1), "affine needs n >= 0"),
+        (("path", 0), "path needs n >= 1"),
+        (("johnson", 3, 0), "johnson needs 1 <= k <= n"),
+        (("johnson", 3, 4), "johnson needs 1 <= k <= n"),
+    ]
+    for args, message in cases:
+        with pytest.raises(GenerateError) as info:
+            generate(*args)
+        assert str(info.value) == message, args
 
 
 def test_build_validation():

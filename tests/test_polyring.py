@@ -37,6 +37,10 @@ def test_mul_examples():
     assert prod == L**4 + L**3 - L**2 - L
     for x in (-2, 3, 7):
         assert prod.evaluate(x) == (x * x + x) * (x * x - 1)
+    with pytest.raises(ValueError, match="^negative exponent$"):
+        Poly.monomial(-1)
+    with pytest.raises(ValueError, match="^exponent must be a nonnegative integer$"):
+        L**-1
 
 
 def test_eval_examples():
@@ -256,6 +260,8 @@ def test_det_edge_cases():
     # after the first elimination step the (1, 1) entry is 0 at every x != 0
     late_zero_pivot = PolyMatrix([[L, 1, 0], [L, 1, 1], [0, 1, L]])
     assert late_zero_pivot.det() == -L
+    with pytest.raises(ValueError, match="^matrix must be square$"):
+        PolyMatrix([[1, 2]])
 
 
 @st.composite
