@@ -8,18 +8,19 @@ any prime power p.  Vertices are coordinates 0..n-1 and phantoms n, n+1,
 ..., so the first nonzero x_i, the lead, is a vertex L.  Lead L's points are
 x_L = 1 plus T(dirs(L) after L) from chart L, and x_u = s, x_L = 1 plus
 T(dirs(u) after L) from each later neighbour u, s in 1..p-1, T(D) being
-F_p^D.  They are keyed by sum x_i p^j over L's other coordinates, j the
-coordinate's position; the coordinates free in the most keys come first.
+F_p^D.  They are keyed by sum x_i p^j over L's other coordinates, p^j the
+weight of the j-th; the coordinates free in the most keys come first.
 The lowest k digits, p^k <= ROW_BITS, pick a bit of a row, an int bitset,
-and the other digits pick the row.  Each chart and scale is a block of
-keys, base + T(dirs): it ORs the bits of T(its lo dirs), shifted by its lo
-digits, into each of its p^(#hi dirs) rows.  While some block would touch
-more than ROW_CAP rows, its group is split into at most p disjoint groups
-by the digit on one of that block's hi directions.  Each group's rows are
-counted by their set bits and dropped, since keys of two leads may
-coincide, so memory is bounded by one group and the graph's O(n + m).
-Every key still sets its own bit, so all sum p^deg(v) keys are generated
-(estimated_work()).
+and the other digits pick the row.  Each chart and scale is a block
+(base, weights), the keys base + T(weights) over the weights of its free
+directions: it ORs the bits of T(its lo weights), shifted by its lo
+digits, into each of its p^(#hi weights) rows.  While some block would
+touch more than ROW_CAP rows, its group is split into at most p disjoint
+groups by the digit on one of that block's hi weights; a block fixed
+there reads that digit from its base.  Each group's rows are counted by
+their set bits and dropped, since keys of two leads may coincide, so
+memory is bounded by one group and the graph's O(n + m).  Every key still
+sets its own bit, so all sum p^deg(v) keys are generated (estimated_work()).
 """
 
 from __future__ import annotations
@@ -63,12 +64,12 @@ def _check_limits(g: LooseGraph, p: int, budget: int) -> None:
         raise BudgetError(f"count_points(): estimated work {work} exceeds budget {budget}")
 
 
-def _keys(dirs: tuple[int, ...], weight: dict[int, int], p: int) -> list[int]:
-    """T(dirs): each sum sum x_i weight[i] over x in F_p^dirs."""
+def _keys(hi: tuple[int, ...], p: int) -> list[int]:
+    """T(hi): each sum sum x_i w_i over x in F_p^hi, hi the weights w_i."""
     keys = [0]
-    for i in dirs:
-        # w runs over 0, weight[i], ..., (p-1) weight[i]
-        keys = [b + w for w in accumulate(repeat(weight[i], p - 1), initial=0) for b in keys]
+    for w in hi:
+        # x_i w runs over 0, w, ..., (p-1) w
+        keys = [b + x for x in accumulate(repeat(w, p - 1), initial=0) for b in keys]
     return keys
 
 
@@ -84,15 +85,13 @@ def _mask(lo: tuple[int, ...], p: int, masks: dict) -> int:
     return masks[lo]
 
 
-def _rows(
-    group: list, weight: dict[int, int], p: int, width: int, masks: dict, tables: dict
-) -> dict[int, int]:
+def _rows(group: list, p: int, width: int, masks: dict, tables: dict) -> dict[int, int]:
     """A group's keys as rows: each key sets bit key % width of the row at
     key - key % width, its hi digits."""
     rows: dict[int, int] = defaultdict(int)
-    for base, lo, hi, _, _ in group:
+    for base, lo, hi in group:
         if hi not in tables:
-            tables[hi] = _keys(hi, weight, p)
+            tables[hi] = _keys(hi, p)
         bits = _mask(lo, p, masks) << base % width
         first = base - base % width
         for r in tables[hi]:
@@ -100,43 +99,33 @@ def _rows(
     return rows
 
 
-def _count_lead(blocks: list, weight: dict[int, int], p: int, width: int, masks: dict) -> int:
-    """Distinct keys of one lead's blocks (base, dirs, u, s), each block the
-    keys base + T(dirs) with x_u = s.  A direction of weight below width is
-    lo and picks the bit, any other is hi and picks the row.  A group of
-    blocks that each touch at most ROW_CAP rows is counted in one dict of
-    rows; any other group is split by the digit on the last hi direction of
-    its first block that touches more."""
-    if p ** len(weight) <= width:
-        # every key of the lead lies in one row
-        row = 0
-        for base, dirs, _, _ in blocks:
-            row |= _mask(tuple(map(weight.__getitem__, dirs)), p, masks) << base
-        return row.bit_count()
-    group = []
-    for base, dirs, u, s in blocks:
-        lo = tuple(weight[d] for d in dirs if weight[d] < width)
-        hi = tuple(d for d in dirs if weight[d] >= width)
-        group.append((base, lo, hi, u, s))
+def _count_lead(blocks: list, p: int, width: int, masks: dict) -> int:
+    """Distinct keys of one lead's blocks (base, weights), each block the
+    keys base + T(weights).  A weight below width is lo and picks the bit,
+    any other is hi and picks the row.  A group of blocks that each touch
+    at most ROW_CAP rows is counted in one dict of rows; any other group is
+    split by the digit on the last hi weight of its first block that
+    touches more.  A block fixed on that weight has its digit in its base."""
+    group = [(b, tuple(w for w in ws if w < width), tuple(w for w in ws if w >= width)) for b, ws in blocks]
     tables: dict[tuple[int, ...], list[int]] = {}
     counted = 0
     stack = [group]
     while stack:
         group = stack.pop()
-        wide = next((hi for _, _, hi, _, _ in group if p ** len(hi) > ROW_CAP), None)
+        wide = next((hi for _, _, hi in group if p ** len(hi) > ROW_CAP), None)
         if wide is None:
-            counted += sum(map(int.bit_count, _rows(group, weight, p, width, masks, tables).values()))
+            counted += sum(map(int.bit_count, _rows(group, p, width, masks, tables).values()))
             continue
-        i = wide[-1]
+        w = wide[-1]
         groups: list[list] = [[] for _ in range(p)]
-        for base, lo, hi, u, s in group:
-            if i in hi:
-                rest = tuple(d for d in hi if d != i)
-                for w in range(p):
-                    groups[w].append((base + w * weight[i], lo, rest, u, s))
+        for base, lo, hi in group:
+            if w in hi:
+                rest = tuple(h for h in hi if h != w)
+                for x in range(p):
+                    groups[x].append((base + x * w, lo, rest))
             else:
-                # x_i is fixed in this block: s on its own coordinate, else 0
-                groups[s if i == u else 0].append((base, lo, hi, u, s))
+                # the base holds digits only at u and at earlier splits
+                groups[base // w % p].append((base, lo, hi))
         stack += filter(None, groups)
     return counted
 
@@ -164,7 +153,8 @@ def count_points(g: LooseGraph, p: int, budget: int = DEFAULT_BUDGET) -> int:
         # x_lead = 1 in all the lead's keys, so they are written in base p
         # over its other coordinates only
         coords = set(after).union(*(d for _, d in later))
-        if p ** len(coords) > width:
+        one_row = p ** len(coords) <= width
+        if not one_row:
             # the coordinates free in the most keys take the lowest digits
             free = dict.fromkeys(coords, 0)
             for c in after:
@@ -176,9 +166,16 @@ def count_points(g: LooseGraph, p: int, budget: int = DEFAULT_BUDGET) -> int:
         weight = dict(zip(coords, accumulate(repeat(p), mul, initial=1)))
         # the chart at lead, x_lead = 1, and each later neighbour u's chart
         # with x_u = s; keys of two leads may coincide, so no row spans two
-        blocks = [(0, after, lead, 1)]
-        blocks += [(s * weight[u], d, u, s) for u, d in later for s in range(1, p)]
-        counted += _count_lead(blocks, weight, p, width, masks)
+        w = weight.__getitem__
+        blocks = [(0, tuple(map(w, after)))]
+        blocks += [(s * w(u), ws) for u, d in later for ws in [tuple(map(w, d))] for s in range(1, p)]
+        if one_row:  # every key of the lead lies in one row
+            row = 0
+            for base, ws in blocks:
+                row |= _mask(ws, p, masks) << base
+            counted += row.bit_count()
+        else:
+            counted += _count_lead(blocks, p, width, masks)
     # free edges live on their own pair of coordinates, disjoint from all charts
     return counted + g.free * (p - 1)
 

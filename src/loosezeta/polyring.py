@@ -141,7 +141,7 @@ class Poly:
         return self.coeffs == q.coeffs
 
     def __hash__(self) -> int:
-        return hash(("Poly", self.coeffs))
+        return hash(self.coeffs[0] if len(self.coeffs) == 1 else self.coeffs or 0)
 
     def evaluate(self, x: int) -> int:
         """Exact Horner evaluation at an integer point."""

@@ -337,8 +337,8 @@ class SurgeryTrace:
 def surgery_trace(g: LooseGraph) -> SurgeryTrace:
     """The paper's surgery on the fundamental edges of the spanning tree
     of spanning_tree(), in unresolve order like a worked table.  Its BFS is
-    the connectivity check, and only the endpoints of fundamental edges get
-    neighbor sets to delete from.  Its one graph, the final tree, takes its
+    the connectivity check, and a vertex gets its own neighbor set to delete
+    from at its first deletion.  Its one graph, the final tree, takes its
     fields unchecked from the input, which was checked when it was built.
     Relabelling the input gives another tree."""
     walk = _bfs_tree(g)
@@ -346,13 +346,13 @@ def surgery_trace(g: LooseGraph) -> SurgeryTrace:
         raise LooseGraphError("surgery_trace(): connected input required")
     tree_edges, fundamental = walk
     tree_value = _tree_form(g)
-    nbrs = g._neighbor_map
-    adj = {**nbrs, **{v: set(nbrs[v]) for e in fundamental for v in e}}
+    adj = dict(g._neighbor_map)
     deltas = []
     for x, y in fundamental:  # resolve each edge: Delta, then delete it
         deltas.append(_difference(adj, x, y))
-        adj[x].discard(y)
-        adj[y].discard(x)
+        for a, b in ((x, y), (y, x)):
+            adj[a] = ends = adj[a] if adj[a].__class__ is set else set(adj[a])
+            ends.discard(b)
     del adj  # lowers the peak: the tree is built without the neighbor sets
     loose = Counter(g._loose_counts) + Counter(v for e in fundamental for v in e)
     steps: list[SurgeryStep] = []

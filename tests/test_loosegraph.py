@@ -426,6 +426,10 @@ def test_induced_and_ambient():
     g = parse("edge a b\nedge b c\nloose c\nfree\n")
     sub = induced(g, ["b", "c"])
     assert set(sub.edges) == {("b", "c")} and dict(sub.loose) == {"c": 1}
+    with pytest.raises(LooseGraphError, match="^induced\\(\\): unknown vertex in subset$"):
+        induced(g, ["nope"])
+    with pytest.raises(LooseGraphError, match="^no vertex 'nope'$"):
+        delete_vertex(g, "nope")
     # delete_vertex keeps the free edge and the other vertices' loose edges
     assert delete_vertex(g, "b") == LooseGraph(("a", "c"), (), (("c", 1),), 1)
     assert delete_vertex(g, "c") == LooseGraph(("a", "b"), (("a", "b"),), (), 1)

@@ -216,7 +216,7 @@ def test_every_table_fits_the_cap(g, p, cap):
 
     def record(group, rows):
         widths.extend(map(int.bit_length, rows.values()))
-        tables.extend(p ** len(hi) for _, _, hi, _, _ in group)
+        tables.extend(p ** len(hi) for _, _, hi in group)
 
     with capped(cap, cap), recording_rows(record):
         assert count_points(g, p) == class_polynomial(g).evaluate(p)
@@ -249,7 +249,7 @@ def test_rows_take_the_coordinates_free_in_the_most_keys():
     ors = []
 
     def record(group, rows):
-        ors.extend(p ** len(hi) for _, _, hi, _, _ in group)
+        ors.extend(p ** len(hi) for _, _, hi in group)
 
     with recording_rows(record):
         assert count_points(g, p) == class_polynomial(g).evaluate(p)

@@ -27,6 +27,9 @@ def test_add_examples():
     assert s == Poly((4, -2, 4))
     for x in (-3, 2, 11):  # independent check by evaluation
         assert s.evaluate(x) == (x * x + 2) + (3 * x * x - 2 * x + 2)
+    with pytest.raises(TypeError):
+        L + "x"
+    assert (L == "x") is False
 
 
 def test_mul_examples():
@@ -37,6 +40,8 @@ def test_mul_examples():
     assert prod == L**4 + L**3 - L**2 - L
     for x in (-2, 3, 7):
         assert prod.evaluate(x) == (x * x + x) * (x * x - 1)
+    with pytest.raises(TypeError):
+        L * "x"
     with pytest.raises(ValueError, match="^negative exponent$"):
         Poly.monomial(-1)
     with pytest.raises(ValueError, match="^exponent must be a nonnegative integer$"):
@@ -56,6 +61,14 @@ def test_normalization_and_zero():
     assert not Poly.zero()
     assert Poly.zero().degree == -1
     assert Poly.zero().evaluate(17) == 0
+
+
+def test_a_constant_hashes_like_the_int_it_equals():
+    # Poly.zero() == 0 and Poly.const(5) == 5, so their hashes must agree
+    assert len({0, Poly.zero()}) == 1
+    assert {5: "x"}.get(Poly.const(5)) == "x"
+    assert hash(Poly.const(-1)) == hash(-1)
+    assert len({L, 2 * L, L + 1, Poly.one(), 1}) == 4
 
 
 def test_format():

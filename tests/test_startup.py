@@ -110,7 +110,7 @@ def test_subcommand_imports_only_its_modules(tmp_path, args, absent, present):
 COMPILE_BOUNDS = [
     (["gen", "path", "1"], 1080),
     (["class", "K4"], 967),
-    (["count", "--q", "2", "K4"], 1205),
+    (["count", "--q", "2", "K4"], 1203),
     (["ihara", "K4"], 1237),
     (["zeta", "K4"], 1054),
     (["compare", "K4"], 1324),
