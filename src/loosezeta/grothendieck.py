@@ -55,7 +55,7 @@ def chart_class(charts: Mapping[str, AbstractSet[str]]) -> Poly:
         census[size, len(common)] += 1
         for i, u in enumerate(cand):
             stack.append((size + 1, common & charts[u], [w for w in cand[i + 1 :] if w in charts[u]]))
-    total = Poly.zero()
+    total = Poly(())
     for (size, c), n in census.items():
         total = total + n * (1 - L) ** (size - 1) * L**c
     return total

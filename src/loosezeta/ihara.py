@@ -50,7 +50,7 @@ def ihara_inverse(g: LooseGraph) -> Poly:
     vs = list(g.vertices)
     pos = {v: i for i, v in enumerate(vs)}
     n = len(vs)
-    rows: list[list[Poly]] = [[Poly.zero()] * n for _ in range(n)]
+    rows: list[list[Poly]] = [[Poly(())] * n for _ in range(n)]
     for i, v in enumerate(vs):
         rows[i][i] = Poly((1, 0, g.graph_degree(v) - 1))
     for a, b in g.edges:
@@ -72,8 +72,8 @@ def edge_matrix_inverse(g: LooseGraph) -> Poly:
     for j, (tail, _) in enumerate(oriented):
         leaving.setdefault(tail, []).append(j)
     size = 2 * m
-    one, minus_u = Poly.one(), Poly((0, -1))
-    rows: list[list[Poly]] = [[Poly.zero()] * size for _ in range(size)]
+    one, minus_u = Poly((1,)), Poly((0, -1))
+    rows: list[list[Poly]] = [[Poly(())] * size for _ in range(size)]
     for i, (_, head) in enumerate(oriented):
         rows[i][i] = one
         for j in leaving[head]:

@@ -52,7 +52,7 @@ class PolyMatrix:
         for row in entries:
             if len(row) != n:
                 raise ValueError("matrix must be square")
-            rows.append(tuple(e if isinstance(e, Poly) else Poly.const(e) for e in row))
+            rows.append(tuple(e if isinstance(e, Poly) else Poly((e,)) for e in row))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", tuple(rows))
 

@@ -46,18 +46,6 @@ class Poly:
         raise AttributeError("Poly is immutable")
 
     @classmethod
-    def zero(cls) -> "Poly":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "Poly":
-        return cls((1,))
-
-    @classmethod
-    def const(cls, c: int) -> "Poly":
-        return cls((c,))
-
-    @classmethod
     def monomial(cls, k: int, c: int = 1) -> "Poly":
         if k < 0:
             raise ValueError("negative exponent")
@@ -68,9 +56,6 @@ class Poly:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def coefficient(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -80,17 +65,19 @@ class Poly:
             return Poly((other,))
         return other if isinstance(other, Poly) else None
 
-    def __add__(self, other) -> "Poly":
+    def _merge(self, other, sign: int) -> "Poly":
+        """``self + sign * other`` as one new Poly."""
         q = self._coerce(other)
         if q is None:
             return NotImplemented
         a, b = self.coeffs, q.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
+        out = [*a, *(0,) * (len(b) - len(a))]
         for i, c in enumerate(b):
-            out[i] += c
+            out[i] += sign * c
         return Poly(out)
+
+    def __add__(self, other) -> "Poly":
+        return self._merge(other, 1)
 
     __radd__ = __add__
 
@@ -98,12 +85,11 @@ class Poly:
         return Poly(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other) -> "Poly":
-        q = self._coerce(other)
-        return NotImplemented if q is None else self + (-q)
+        return self._merge(other, -1)
 
     def __rsub__(self, other) -> "Poly":
         q = self._coerce(other)
-        return NotImplemented if q is None else q + (-self)
+        return NotImplemented if q is None else q._merge(self, -1)
 
     def __mul__(self, other) -> "Poly":
         q = self._coerce(other)
@@ -126,7 +112,7 @@ class Poly:
         cs = self.coeffs
         if cs and not any(cs[:-1]):
             return Poly.monomial((len(cs) - 1) * n, cs[-1] ** n)
-        result, base = Poly.one(), self
+        result, base = Poly((1,)), self
         while n:
             if n & 1:
                 result = result * base
@@ -135,10 +121,9 @@ class Poly:
         return result
 
     def __eq__(self, other) -> bool:
-        q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        return self.coeffs == q.coeffs
+        if isinstance(other, int):  # by value, a bool too: 1 == True
+            return self.coeffs == ((other,) if other else ())
+        return self.coeffs == other.coeffs if isinstance(other, Poly) else NotImplemented
 
     def __hash__(self) -> int:
         return hash(self.coeffs[0] if len(self.coeffs) == 1 else self.coeffs or 0)
@@ -168,7 +153,7 @@ def format_poly(p: Poly, symbol: str) -> str:
         return "0"
     parts: list[str] = []
     for k in range(p.degree, -1, -1):
-        c = p.coefficient(k)
+        c = p.coeffs[k]
         if c == 0:
             continue
         mag = abs(c)

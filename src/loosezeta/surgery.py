@@ -48,7 +48,7 @@ def _tree_form(g: LooseGraph) -> Poly:
     nbrs, lm = g._neighbor_map, g._loose_counts
     degrees = [len(nbrs[v]) + lm.get(v, 0) for v in g.vertices]
     if degrees == [0]:
-        return Poly.one()
+        return Poly((1,))
     inner = [d for d in degrees if d > 1]
     i = len(inner) - 1
     coeffs = [0] * (max(degrees) + 2)
@@ -89,7 +89,7 @@ def delete_vertex(g: LooseGraph, v: str) -> LooseGraph:
 def reduce(g: LooseGraph) -> tuple[LooseGraph, Poly]:
     """Strip loose and free edges; return the reduced graph and the class
     correction sum(L^deg(v) - L^deg_reduced(v)) + free*(L - 1)."""
-    corr = Poly.zero()
+    corr = Poly(())
     for v, k in g.loose:
         d = g.degree(v)
         corr = corr + L**d - L ** (d - k)

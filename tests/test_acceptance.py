@@ -224,8 +224,8 @@ def test_criterion_5_invariant_suite():
 
 def test_criterion_6_degenerate_inputs(capsys):
     with criterion(6, "degenerate inputs and Ihara rejections"):
-        assert class_polynomial(LooseGraph.build()) == Poly.zero()
-        assert class_polynomial(LooseGraph.build(["a"])) == Poly.one()
+        assert class_polynomial(LooseGraph.build()) == Poly(())
+        assert class_polynomial(LooseGraph.build(["a"])) == Poly((1,))
         assert class_polynomial(LooseGraph.build((), (), (), 1)) == L - 1
         import io
         import sys

@@ -74,7 +74,7 @@ def test_tree_class_examples():
     )
     assert all(loose_tree.degree(v) == 4 for v in loose_tree.vertices)
     assert tree_class(loose_tree) == 5 * L**4 - 4 * L + 4
-    assert tree_class(LooseGraph.build(["a"])) == Poly.one()
+    assert tree_class(LooseGraph.build(["a"])) == Poly((1,))
 
 
 def test_tree_class_errors():
@@ -209,7 +209,7 @@ def test_chart_class_component_additivity():
         e = g.edges[rng.randrange(g.n_edges)]
         nd = neighborhood(g, e)
         whole = chart_class(dict(nd.charts_gl))
-        split = Poly.zero()
+        split = Poly(())
         for cj in piece_classes(nd):
             split = split + cj
         assert whole == split
@@ -231,7 +231,7 @@ def eight_bracket_difference(nd) -> Poly:
     - [C(gl,xy)] + [C(glx,xy)] - [C(glx,y)] + [C(gly,xy)] - [C(gly,x)]."""
     gl, glx, gly = dict(nd.charts_gl), dict(nd.charts_glx), dict(nd.charts_gly)
     x, y = nd.x, nd.y
-    total = Poly.zero()
+    total = Poly(())
     for comp in nd.components:
         total = (
             total
@@ -270,7 +270,7 @@ def test_difference_matches_eight_brackets_on_dense_graphs(g, pick):
 def brute_force_chart_class(charts) -> Poly:
     """Inclusion-exclusion over every vertex subset that is a clique."""
     reals = sorted(charts)
-    total = Poly.zero()
+    total = Poly(())
     for size in range(1, len(reals) + 1):
         for s in combinations(reals, size):
             if all(u in charts[v] for v in s for u in s if u != v):
@@ -349,8 +349,8 @@ def test_class_gamma_family_instance():
 
 
 def test_class_degenerate_inputs():
-    assert class_polynomial(LooseGraph.build()) == Poly.zero()
-    assert class_polynomial(LooseGraph.build(["a"])) == Poly.one()
+    assert class_polynomial(LooseGraph.build()) == Poly(())
+    assert class_polynomial(LooseGraph.build(["a"])) == Poly((1,))
     assert class_polynomial(LooseGraph.build((), (), (), 1)) == L - 1
 
 
@@ -358,7 +358,7 @@ def test_class_disjoint_union_additivity():
     rng = Random(13)
     for _ in range(20):
         g = random_loose_graph(rng)
-        total = Poly.zero()
+        total = Poly(())
         for c in connected_components(g):
             total = total + class_polynomial(c)
         assert class_polynomial(g) == total
@@ -384,7 +384,7 @@ def test_class_degree_and_leading_coefficient():
         p = class_polynomial(g)
         max_deg = max(g.degree(v) for v in g.vertices)
         assert p.degree == max_deg
-        assert 1 <= p.coefficient(p.degree) <= g.n_vertices
+        assert 1 <= p.coeffs[-1] <= g.n_vertices
 
 
 def test_class_equals_tree_class_on_random_trees():
@@ -436,7 +436,7 @@ def test_the_memo_keeps_the_last_class_only(monkeypatch):
 
 
 def test_classes_of_empty_and_free_only_graphs():
-    assert class_polynomial(LooseGraph()) == Poly.zero()
+    assert class_polynomial(LooseGraph()) == Poly(())
     for k in range(1, 4):
         assert class_polynomial(LooseGraph.build((), (), (), k)) == k * (L - 1)
 
@@ -612,7 +612,7 @@ def test_complete_multipartite_closed_form(parts):
     # a clique takes at most one vertex from each part and its common
     # neighbors are the parts it misses, so the census factors over parts:
     # (prod_i (L^a_i + a_i (1 - L)) - L^(sum a_i)) / (1 - L)
-    product = Poly.one()
+    product = Poly((1,))
     for a in parts:
         product = product * (L**a + a * (1 - L))
     expected = exact_div(product - L ** sum(parts), 1 - L)

@@ -22,7 +22,7 @@ coeff_lists = st.lists(st.integers(min_value=-50, max_value=50), max_size=8)
 def test_add_examples():
     assert (L + 1) + (L - 1) == 2 * L
     p = Poly((3, 0, -2, 7))
-    assert p + Poly.zero() == p
+    assert p + Poly(()) == p
     s = Poly((2, 0, 1)) + Poly((2, -2, 3))
     assert s == Poly((4, -2, 4))
     for x in (-3, 2, 11):  # independent check by evaluation
@@ -35,7 +35,7 @@ def test_add_examples():
 def test_mul_examples():
     assert (L - 1) * (L + 1) == L**2 - 1
     p = Poly((5, -1, 2))
-    assert p * Poly.one() == p
+    assert p * Poly((1,)) == p
     prod = (L**2 + L) * (L**2 - 1)
     assert prod == L**4 + L**3 - L**2 - L
     for x in (-2, 3, 7):
@@ -56,24 +56,29 @@ def test_eval_examples():
 
 
 def test_normalization_and_zero():
-    assert Poly((0, 0, 0)) == Poly.zero()
+    assert Poly((0, 0, 0)) == Poly(())
     assert Poly((1, 2, 0, 0)).coeffs == (1, 2)
-    assert not Poly.zero()
-    assert Poly.zero().degree == -1
-    assert Poly.zero().evaluate(17) == 0
+    assert not Poly(())
+    assert Poly(()).degree == -1
+    assert Poly(()).evaluate(17) == 0
 
 
 def test_a_constant_hashes_like_the_int_it_equals():
-    # Poly.zero() == 0 and Poly.const(5) == 5, so their hashes must agree
-    assert len({0, Poly.zero()}) == 1
-    assert {5: "x"}.get(Poly.const(5)) == "x"
-    assert hash(Poly.const(-1)) == hash(-1)
-    assert len({L, 2 * L, L + 1, Poly.one(), 1}) == 4
+    # Poly(()) == 0 and Poly((5,)) == 5, so their hashes must agree
+    assert len({0, Poly(())}) == 1
+    assert {5: "x"}.get(Poly((5,))) == "x"
+    assert hash(Poly((-1,))) == hash(-1)
+    assert len({L, 2 * L, L + 1, Poly((1,)), 1}) == 4
+    # a bool compares by value, as 1 == True, so a lookup never raises
+    assert Poly((1,)) == True and Poly(()) == False and L != True  # noqa: E712
+    assert True in {Poly((1,))} and False in {Poly(())} and True not in {L}
+    with pytest.raises(TypeError, match="^integer coefficient expected, got bool$"):
+        L + True
 
 
 def test_format():
     assert format_poly(5 * L**4 - 4 * L + 4, "L") == "5L^4 - 4L + 4"
-    assert format_poly(Poly.zero(), "L") == "0"
+    assert format_poly(Poly(()), "L") == "0"
     assert format_poly(-(L**2) + 1, "u") == "-u^2 + 1"
     assert format_poly(L, "t") == "t"
 
@@ -100,8 +105,25 @@ def test_eval_is_ring_homomorphism(a, b):
     rng = Random(str((tuple(a), tuple(b))))
     for _ in range(5):
         x = rng.randint(-20, 20)
+        k = rng.randint(-20, 20)
         assert (p + q).evaluate(x) == p.evaluate(x) + q.evaluate(x)
         assert (p * q).evaluate(x) == p.evaluate(x) * q.evaluate(x)
+        assert (p - q).evaluate(x) == p.evaluate(x) - q.evaluate(x)
+        assert (-p).evaluate(x) == -p.evaluate(x)
+        assert (k - p).evaluate(x) == k - p.evaluate(x)
+        assert (p - k).evaluate(x) == p.evaluate(x) - k
+
+
+def test_a_difference_builds_one_poly(monkeypatch):
+    p, q, made = L**3 - 2 * L, 5 * L**2 + 1, []
+    init = Poly.__init__
+    monkeypatch.setattr(Poly, "__init__", lambda self, coeffs=(): made.append(1) or init(self, coeffs))
+    difference = p - q
+    assert len(made) == 1
+    made.clear()
+    from_int = 3 - p
+    assert len(made) <= 2  # the coerced 3 and the result
+    assert difference.coeffs == (-1, -2, -5, 1) and from_int.coeffs == (3, 2, 0, -1)
 
 
 @given(coeff_lists, coeff_lists)
@@ -109,19 +131,19 @@ def test_ring_laws(a, b):
     p, q = Poly(a), Poly(b)
     assert p + q == q + p
     assert p * q == q * p
-    assert p * (q + Poly.one()) == p * q + p
+    assert p * (q + Poly((1,))) == p * q + p
 
 
 @given(
     st.one_of(
         coeff_lists.map(Poly),
         st.builds(Poly.monomial, st.integers(0, 6), st.integers(-50, 50)),
-        st.just(Poly.zero()),
+        st.just(Poly(())),
     ),
     st.integers(0, 6),
 )
 def test_pow_is_repeated_multiplication(p, n):
-    expected = Poly.one()
+    expected = Poly((1,))
     for _ in range(n):
         expected = expected * p
     assert p**n == expected
@@ -135,19 +157,19 @@ def test_exact_div():
     with pytest.raises(ExactDivisionError, match="not divisible"):
         exact_div(L**2 + 1, 2 * L)
     with pytest.raises(ZeroDivisionError):
-        exact_div(L, Poly.zero())
+        exact_div(L, Poly(()))
 
 
 def test_det_identity_and_small():
     for n in range(0, 6):
         identity = PolyMatrix([[int(i == j) for j in range(n)] for i in range(n)])
-        assert identity.det() == Poly.one()
-    m = PolyMatrix([[L, Poly.one()], [Poly.one(), L]])
+        assert identity.det() == Poly((1,))
+    m = PolyMatrix([[L, Poly((1,))], [Poly((1,)), L]])
     assert m.det() == L**2 - 1
-    zero_col = PolyMatrix([[Poly.zero(), L], [Poly.zero(), L]])
-    assert zero_col.det() == Poly.zero()
+    zero_col = PolyMatrix([[Poly(()), L], [Poly(()), L]])
+    assert zero_col.det() == Poly(())
     needs_pivot = PolyMatrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-    assert needs_pivot.det() == Poly.const(2)
+    assert needs_pivot.det() == Poly((2,))
 
 
 def _bass_hashimoto_matrix(adjacency: list[list[int]], degrees: list[int]) -> PolyMatrix:
@@ -261,15 +283,15 @@ def test_det_commutes_with_evaluation():
 
 
 def test_det_edge_cases():
-    assert PolyMatrix([]).det() == Poly.one()
-    assert PolyMatrix([[0]]).det() == Poly.zero()
-    assert PolyMatrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]]).det() == Poly.const(18)
+    assert PolyMatrix([]).det() == Poly((1,))
+    assert PolyMatrix([[0]]).det() == Poly(())
+    assert PolyMatrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]]).det() == Poly((18,))
     zero_row = PolyMatrix([[L, 1, 2], [0, 0, 0], [L**2, L, 1]])
-    assert zero_row.det() == Poly.zero()
-    assert PolyMatrix([[0] * 3] * 3).det() == Poly.zero()  # degree bound -3
-    assert PolyMatrix([[L**3, 1, 2], [0, 0, 0], [L, L**3, 1]]).det() == Poly.zero()
+    assert zero_row.det() == Poly(())
+    assert PolyMatrix([[0] * 3] * 3).det() == Poly(())  # degree bound -3
+    assert PolyMatrix([[L**3, 1, 2], [0, 0, 0], [L, L**3, 1]]).det() == Poly(())
     zero_col = PolyMatrix([[L, 0, 1], [L**3, 0, L], [1, 0, 2]])
-    assert zero_col.det() == Poly.zero()
+    assert zero_col.det() == Poly(())
     # after the first elimination step the (1, 1) entry is 0 at every x != 0
     late_zero_pivot = PolyMatrix([[L, 1, 0], [L, 1, 1], [0, 1, L]])
     assert late_zero_pivot.det() == -L
@@ -281,7 +303,7 @@ def test_det_edge_cases():
 def poly_matrices(draw) -> PolyMatrix:
     n = draw(st.integers(min_value=0, max_value=5))
     entry = st.one_of(
-        st.just(Poly.zero()),
+        st.just(Poly(())),
         st.lists(st.integers(min_value=-5, max_value=5), max_size=4).map(Poly),
     )
     row = st.lists(entry, min_size=n, max_size=n)
@@ -320,9 +342,9 @@ def test_det_is_exact_where_the_bound_is_tight():
     for prime in polymatrix._MODULI[:-1]:  # the last one's p/2 + 1 is past the table
         for c in (prime // 2 - 1, prime // 2 + 1, prime - 2, prime + 2):
             for sign in (1, -1):
-                assert PolyMatrix([[sign * c]]).det() == Poly.const(sign * c)
+                assert PolyMatrix([[sign * c]]).det() == Poly((sign * c,))
                 diagonal = PolyMatrix([[c, 0], [0, -3 * sign]])
-                assert diagonal.det() == Poly.const(-3 * sign * c)
+                assert diagonal.det() == Poly((-3 * sign * c,))
 
 
 def _random_ihara_matrix(rng: Random, n: int) -> PolyMatrix:
@@ -416,9 +438,9 @@ def test_det_of_pencils_matches_fraction_oracles(case, points):
     for x in points:
         assert d.evaluate(x) == _fraction_det(_evaluate(pencil, x))
     if kind in ("zero", "nilpotent"):
-        assert d == Poly.one()
+        assert d == Poly((1,))
     if kind == "permutation":  # one factor 1 - u^len per cycle
-        expected, seen = Poly.one(), set()
+        expected, seen = Poly((1,)), set()
         for start in range(len(m)):
             length = 0
             while start not in seen:
@@ -456,7 +478,7 @@ def test_det_of_matrices_singular_at_every_value():
         PolyMatrix([[L, 1, L**2], [1, L, L + 1], [L + 1, L + 1, L**2 + L + 1]]),
     ):
         assert all(row for row in m.entries)  # no zero row to short-cut on
-        assert m.det() == Poly.zero()
+        assert m.det() == Poly(())
 
 
 def _wide_integer_matrix() -> list[list[int]]:
@@ -470,7 +492,7 @@ def test_det_of_a_pencil_that_needs_a_large_modulus():
     assert _modulus(_bound_squared(pencil)) > 2**127
     d = pencil.det()
     assert d == _det_by_interpolation(pencil)
-    assert d.degree == 5 and d.coefficient(5) == -_fraction_det(m)
+    assert d.degree == 5 and d.coeffs[5] == -_fraction_det(m)
 
 
 def test_det_under_too_small_a_modulus_fails_its_check_node(monkeypatch):
@@ -488,8 +510,8 @@ def test_det_refuses_a_bound_past_the_moduli_table():
     with pytest.raises(ValueError, match="bound of 23253 bits is past the moduli table"):
         PolyMatrix([[10**7000, 0], [0, 1]]).det()
     largest = (polymatrix._MODULI[-1] - 1) // 2  # the largest |det| that the largest prime lifts
-    assert PolyMatrix([[largest]]).det() == Poly.const(largest)
-    assert PolyMatrix([[-largest]]).det() == Poly.const(-largest)
+    assert PolyMatrix([[largest]]).det() == Poly((largest,))
+    assert PolyMatrix([[-largest]]).det() == Poly((-largest,))
     with pytest.raises(ValueError, match="past the moduli table"):
         PolyMatrix([[largest + 1]]).det()
 

@@ -313,7 +313,7 @@ def test_ihara_vertex_route_on_grid_8():
     g = grid(8, 8)
     with within(2.5):
         p = ihara_inverse(g)
-    assert p.degree == 2 * g.n_edges and p.coefficient(0) == 1
+    assert p.degree == 2 * g.n_edges and p.coeffs[0] == 1
 
 
 def test_ihara_edge_route_on_grid_6_matches_vertex_route():
@@ -327,7 +327,7 @@ def test_ihara_edge_route_on_johnson_6_2():
     g = generate("johnson", 6, 2)
     with within(2.0):
         p = edge_matrix_inverse(g)
-    assert p.degree == 2 * g.n_edges and p.coefficient(0) == 1
+    assert p.degree == 2 * g.n_edges and p.coeffs[0] == 1
 
 
 def test_ihara_edge_route_on_johnson_6_3_matches_vertex_route():

@@ -108,13 +108,13 @@ def test_subcommand_imports_only_its_modules(tmp_path, args, absent, present):
 # (argv, lines of src/ it may compile); K4 stands for a graph file.  gen is
 # the setup_s probe of every benchmark workload
 COMPILE_BOUNDS = [
-    (["gen", "path", "1"], 1080),
-    (["class", "K4"], 967),
-    (["count", "--q", "2", "K4"], 1203),
-    (["ihara", "K4"], 1237),
-    (["zeta", "K4"], 1054),
-    (["compare", "K4"], 1324),
-    (["trace", "K4"], 1444),
+    (["gen", "path", "1"], 1065),
+    (["class", "K4"], 952),
+    (["count", "--q", "2", "K4"], 1187),
+    (["ihara", "K4"], 1222),
+    (["zeta", "K4"], 1039),
+    (["compare", "K4"], 1309),
+    (["trace", "K4"], 1429),
 ]
 
 
