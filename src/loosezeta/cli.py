@@ -154,10 +154,10 @@ def _cmd_verify(g: LooseGraph, args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(g: LooseGraph, args: argparse.Namespace) -> int:
-    from .families import serialize_restoring
     from .grothendieck import surgery_trace
     trace = surgery_trace(g)
     if args.json:
+        from .families import serialize_restoring
         # the array json.dumps would write, one row's text live at a time
         texts = serialize_restoring(trace.final_tree, [step.resolved_edge for step in trace.steps])
         first = {"graph": next(texts), "resolvedEdge": None, "delta": None}

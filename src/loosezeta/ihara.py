@@ -17,7 +17,7 @@ from collections import Counter
 from math import prod
 
 from .loosegraph import LooseGraph, is_connected
-from .polymatrix import PolyMatrix, check_bound
+from .polymatrix import PolyMatrix, modulus
 from .polyring import Poly
 
 
@@ -36,7 +36,7 @@ def _validate(g: LooseGraph) -> tuple[int, Counter[int]]:
         raise IharaDomainError("graph must be connected")
     if g.n_edges == g.n_vertices - 1:
         raise IharaDomainError("input is a tree; its Ihara zeta function is trivial")
-    degrees = Counter(g.graph_degree(v) for v in g.vertices)
+    degrees = Counter(map(len, g._neighbor_map.values()))
     if min(degrees) < 2:
         raise IharaDomainError("vertices of degree 1 are not allowed")
     return g.n_edges - g.n_vertices + 1, degrees
@@ -45,38 +45,33 @@ def _validate(g: LooseGraph) -> tuple[int, Counter[int]]:
 def ihara_inverse(g: LooseGraph) -> Poly:
     """(1 - u^2)^(rank-1) * det(1 - A u + Q u^2) with Q = diag(degree - 1)."""
     rank, degrees = _validate(g)
-    # H^2 of the matrix before it is built: row v holds 1 + (d-1)u^2 and d entries -u
-    check_bound(prod((d * d + d) ** k for d, k in degrees.items()))
-    vs = list(g.vertices)
-    pos = {v: i for i, v in enumerate(vs)}
-    n = len(vs)
-    rows: list[list[Poly]] = [[Poly(())] * n for _ in range(n)]
-    for i, v in enumerate(vs):
-        rows[i][i] = Poly((1, 0, g.graph_degree(v) - 1))
-    for a, b in g.edges:
-        rows[pos[a]][pos[b]] = Poly((0, -1))
-        rows[pos[b]][pos[a]] = Poly((0, -1))
-    det = PolyMatrix(rows).det()
-    return Poly((1, 0, -1)) ** (rank - 1) * det
+    # modulus refuses H^2 before the matrix is built: row v holds 1 + (d-1)u^2 and d entries -u
+    modulus(prod((d * d + d) ** k for d, k in degrees.items()))
+    nbrs = g._neighbor_map
+    pos = {v: i for i, v in enumerate(nbrs)}
+    minus_u = Poly((0, -1))
+    rows: list[list[Poly]] = [[Poly(())] * len(pos) for _ in pos]
+    for (v, ns), row in zip(nbrs.items(), rows):
+        row[pos[v]] = Poly((1, 0, len(ns) - 1))
+        for w in ns:
+            row[pos[w]] = minus_u
+    return Poly((1, 0, -1)) ** (rank - 1) * PolyMatrix(rows).det()
 
 
 def edge_matrix_inverse(g: LooseGraph) -> Poly:
-    """det(1 - u E) over oriented edges; E_ij = 1 iff edge i feeds edge j
-    without backtracking.  Orientations i and i + |E| are inverses."""
+    """det(1 - u E) over oriented edges; E takes (tail, head) to (head, w)
+    for every neighbour w != tail of head, so it never backtracks."""
     _, degrees = _validate(g)
-    # H^2 of the matrix before it is built: d rows end at v, each holding 1 and d - 1 entries -u
-    check_bound(prod(d ** (d * k) for d, k in degrees.items()))
-    m = g.n_edges
-    oriented = [(a, b) for a, b in g.edges] + [(b, a) for a, b in g.edges]
-    leaving: dict[str, list[int]] = {}
-    for j, (tail, _) in enumerate(oriented):
-        leaving.setdefault(tail, []).append(j)
-    size = 2 * m
+    # modulus refuses H^2 before the matrix is built: d rows end at v, each holding 1 and d - 1 entries -u
+    modulus(prod(d ** (d * k) for d, k in degrees.items()))
+    nbrs = g._neighbor_map
+    oriented = [*g.edges, *((b, a) for a, b in g.edges)]
+    index = {e: i for i, e in enumerate(oriented)}
     one, minus_u = Poly((1,)), Poly((0, -1))
-    rows: list[list[Poly]] = [[Poly(())] * size for _ in range(size)]
-    for i, (_, head) in enumerate(oriented):
+    rows: list[list[Poly]] = [[Poly(())] * len(oriented) for _ in oriented]
+    for i, (tail, head) in enumerate(oriented):
         rows[i][i] = one
-        for j in leaving[head]:
-            if j != (i + m) % size:  # not the inverse orientation
-                rows[i][j] = minus_u
+        for w in nbrs[head]:
+            if w != tail:
+                rows[i][index[head, w]] = minus_u
     return PolyMatrix(rows).det()

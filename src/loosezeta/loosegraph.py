@@ -161,11 +161,13 @@ class LooseGraph:
         return len(self.neighbors(v))
 
     def loose_count(self, v: str) -> int:
+        if v not in self._neighbor_map:
+            raise LooseGraphError(f"no vertex {v!r}")
         return self._loose_counts.get(v, 0)
 
     def degree(self, v: str) -> int:
         """Full degree: 2-vertex edges plus loose edges at v."""
-        return self.graph_degree(v) + self.loose_count(v)
+        return self.graph_degree(v) + self._loose_counts.get(v, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +192,7 @@ class _Reader:
     def vertex(self, name: str, implicit: bool = False) -> None:
         if name in self.names:
             raise self.error(f"vertex {name!r} declared {'after its first use' if self.names[name] else 'twice'}")
-        if not _NAME_RE.match(name):
+        if not isinstance(name, str) or not _NAME_RE.match(name):
             raise self.error(f"invalid name {name!r}")
         if implicit and self.strict:
             raise self.error(f"undeclared vertex {name!r} (strict mode)")

@@ -3,14 +3,14 @@
 Determinants of polynomial matrices come from one modular kernel.  On
 |z| = 1 each |M_ij(z)| <= |M_ij|_1, so by Hadamard's inequality and
 Cauchy's coefficient bound every coefficient of det M is at most H, where
-H^2 = prod_i sum_j |M_ij|_1^2.  Modulo the smallest Mersenne prime p of
-a table with p > 2H, x = v + s shifts to the first s = 0..D (D the degree
-bound) with M(s) invertible, else det M = 0 mod p.  For M(v + s) = sum
-N_k v^k, det M(v + s) = det N_0 det(I - vC) with the block companion C
-of first block row -N_0^-1 N_k and identity blocks below: the reversed
-char poly of C, by Hessenberg reduction (Cohen 1993, 2.2.4).  The lift
-to (-p/2, p/2) is exact; det M(D + 1) by plain elimination under an
-independent prime checks the result.
+H^2 = prod_i sum_j |M_ij|_1^2.  Modulo p = modulus(H^2), the smallest
+Mersenne prime of a table with p > 2H, x = v + s shifts to the first
+s = 0..D (D the degree bound) with M(s) invertible, else det M = 0 mod p.
+For M(v + s) = sum N_k v^k, det M(v + s) = det N_0 det(I - vC) with the
+block companion C of first block row -N_0^-1 N_k and identity blocks
+below: the reversed char poly of C, by Hessenberg reduction (Cohen 1993,
+2.2.4).  The lift to (-p/2, p/2) is exact; det M(D + 1) by plain
+elimination under an independent prime checks the result.
 """
 
 from __future__ import annotations
@@ -63,11 +63,9 @@ class PolyMatrix:
         """Exact determinant by the modular kernel of the module docstring;
         raises ValueError for a bound past the moduli table and
         ExactDivisionError if the check node disagrees."""
-        h2 = _bound_squared(self)
-        check_bound(h2)
+        p = modulus(_bound_squared(self))
         top = sum(max(e.degree for e in row) for row in self.entries)
         terms = [(i, j, e) for i, row in enumerate(self.entries) for j, e in enumerate(row) if e]
-        p = _modulus(h2)
         residues = _det_mod(terms, self.n, top, p)[: top + 1]  # the rest are 0
         result = Poly([r - p if 2 * r > p else r for r in residues])
         q, x = _CHECK_MODULUS, top + 1
@@ -76,13 +74,10 @@ class PolyMatrix:
         return result
 
 
-#: Mersenne primes 2^e - 1, proven prime, in increasing order; det works
-#: modulo the first with p > 2H.
+#: Mersenne primes 2^e - 1, proven prime, in increasing order, for modulus.
 _MODULI = tuple(
     (1 << e) - 1 for e in (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941, 11213, 19937)
 )
-#: The largest H^2 for which the largest prime still has p > 2H.
-_H2_CEILING = _MODULI[-1] ** 2 // 4
 #: The check node's prime, a Mersenne prime outside the table.
 _CHECK_MODULUS = (1 << 31) - 1
 
@@ -92,16 +87,13 @@ def _bound_squared(m: PolyMatrix) -> int:
     return prod(sum(sum(map(abs, e.coeffs)) ** 2 for e in row) for row in m.entries)
 
 
-def check_bound(h2: int) -> None:
-    """Raise ValueError if H^2 = h2 is past the moduli table."""
-    if h2 > _H2_CEILING:
-        raise ValueError(f"determinant bound of {h2.bit_length() // 2} bits is past the moduli table")
-
-
-def _modulus(h2: int) -> int:
-    """The smallest prime of the table with p > 2H, else the largest (det
-    refuses such H first)."""
-    return next((p for p in _MODULI if p * p > 4 * h2), _MODULI[-1])
+def modulus(h2: int) -> int:
+    """The smallest prime p of the table with p > 2H, H^2 = h2; raises
+    ValueError for a bound past the table."""
+    for p in _MODULI:
+        if p * p > 4 * h2:
+            return p
+    raise ValueError(f"determinant bound of {h2.bit_length() // 2} bits is past the moduli table")
 
 
 def _det_mod(terms: list[tuple[int, int, Poly]], n: int, top: int, p: int) -> list[int]:

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import importlib
 import io
 import json
+import re
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -277,6 +279,16 @@ def test_command_table_drives_the_parser_and_the_dispatch(monkeypatch):
     assert "{" + ",".join(cli.COMMANDS) + "}" in parser.format_usage()
     help_lines = [line.split(None, 1) for line in parser.format_help().splitlines() if line.startswith("    ")]
     assert help_lines == [[name, help_text] for name, (help_text, _) in cli.COMMANDS.items()]
+
+
+def test_the_loosezeta_command_names_a_callable_entry_point():
+    # pyproject.toml read without tomllib, which Python 3.10 lacks
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    section = text.partition("\n[project.scripts]\n")[2].partition("\n[")[0]
+    scripts = dict(re.findall(r'^(\S+)\s*=\s*"([^"]+)"$', section, re.M))
+    module, _, name = scripts["loosezeta"].partition(":")
+    target = getattr(importlib.import_module(module), name)
+    assert callable(target) and target is cli.run
 
 
 def test_missing_file_exits_2(capsys):

@@ -84,7 +84,7 @@ def test_degree_bound_is_the_bound_of_the_built_matrix(monkeypatch, route):
     # matrix; the bound it checks must be the one det() finds in the matrix
     checked, built = [], []
     det = PolyMatrix.det
-    monkeypatch.setattr(ihara, "check_bound", lambda h2: checked.append(h2) or polymatrix.check_bound(h2))
+    monkeypatch.setattr(ihara, "modulus", lambda h2: checked.append(h2) or polymatrix.modulus(h2))
     monkeypatch.setattr(PolyMatrix, "det", lambda m: built.append(_bound_squared(m)) or det(m))
     rng = Random(2718)
     graphs = [corpus_graphs()[name] for name in IHARA_COEFFS]

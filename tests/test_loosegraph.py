@@ -63,7 +63,7 @@ def test_parse_affine_plane():
     assert g.vertices == ("a",)
     assert g.loose == (("a", 2),)
     assert g.degree("a") == 2
-    for query in (g.neighbors, g.degree):
+    for query in (g.neighbors, g.graph_degree, g.loose_count, g.degree):
         with pytest.raises(LooseGraphError, match="^no vertex 'x'$"):
             query("x")
 
@@ -179,6 +179,10 @@ def test_build_validation():
         ((["a", "a"],), "vertex 'a' declared twice"),
         ((["a", "b"], [("a", "b"), ("b", "a")]), "duplicate edge b a"),
         ((["a-b"],), "invalid name 'a-b'"),
+        (([1],), "invalid name 1"),
+        ((["a"], [("a", 1)]), "invalid name 1"),
+        ((["a"], (), {1: 1}), "invalid name 1"),
+        (([b"a"],), "invalid name b'a'"),
         ((["a"], (), {"b": 1}), "undeclared vertex 'b' (strict mode)"),
         ((["a"], (), {"a": -1}), "negative loose-edge count"),
         ((["a"], (), (), -1), "negative free-edge count"),

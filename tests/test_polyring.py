@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import IHARA_COEFFS
 from loosezeta import polymatrix
 from loosezeta.cli import main
-from loosezeta.polymatrix import PolyMatrix, _bound_squared, _modulus, exact_div
+from loosezeta.polymatrix import PolyMatrix, _bound_squared, exact_div, modulus
 from loosezeta.polyring import ExactDivisionError, L, Poly, format_poly
 
 coeff_lists = st.lists(st.integers(min_value=-50, max_value=50), max_size=8)
@@ -377,7 +377,7 @@ def test_det_with_huge_entries_takes_a_large_modulus():
     rng = Random(30)
     for n in (2, 3, 4):
         m = _huge_matrix(rng, n)
-        assert _modulus(_bound_squared(m)) > 2**127
+        assert modulus(_bound_squared(m)) > 2**127
         d = m.det()
         assert d == _det_by_interpolation(m)
         for x in (-3, 5):
@@ -386,12 +386,12 @@ def test_det_with_huge_entries_takes_a_large_modulus():
 
 def test_too_small_modulus_is_caught_by_the_check_node(monkeypatch, capsys):
     m = _huge_matrix(Random(4), 4)
-    monkeypatch.setattr(polymatrix, "_MODULI", (8191,))
+    monkeypatch.setattr(polymatrix, "modulus", lambda h2: 8191)
     assert 8191**2 < 4 * _bound_squared(m)
     with pytest.raises(ExactDivisionError, match="check node"):
         m.det()
     # K4's vertex matrix has H = 144, so a single prime 31 < 2H lifts wrongly
-    monkeypatch.setattr(polymatrix, "_MODULI", (31,))
+    monkeypatch.setattr(polymatrix, "modulus", lambda h2: 31)
     k4 = "".join(f"edge {a} {b}\n" for a, b in ["ab", "ac", "ad", "bc", "bd", "cd"])
     monkeypatch.setattr("sys.stdin", io.StringIO(k4))
     assert main(["ihara", "-"]) == 1
@@ -489,7 +489,7 @@ def _wide_integer_matrix() -> list[list[int]]:
 def test_det_of_a_pencil_that_needs_a_large_modulus():
     m = _wide_integer_matrix()
     pencil = _pencil(m)
-    assert _modulus(_bound_squared(pencil)) > 2**127
+    assert modulus(_bound_squared(pencil)) > 2**127
     d = pencil.det()
     assert d == _det_by_interpolation(pencil)
     assert d.degree == 5 and d.coeffs[5] == -_fraction_det(m)
@@ -500,7 +500,7 @@ def test_det_under_too_small_a_modulus_fails_its_check_node(monkeypatch):
     small = 2**61 - 1
     for m in matrices:  # the true det has a coefficient that one prime cannot lift
         assert max(map(abs, _det_by_interpolation(m).coeffs)) > small // 2
-    monkeypatch.setattr(polymatrix, "_modulus", lambda h2: small)
+    monkeypatch.setattr(polymatrix, "modulus", lambda h2: small)
     for m in matrices:
         with pytest.raises(ExactDivisionError, match="check node"):
             m.det()
@@ -525,7 +525,7 @@ def test_det_takes_one_pass(monkeypatch):
     for m in (_pencil(_wide_integer_matrix()), _bass_hashimoto_matrix(grid, [sum(row) for row in grid])):
         passes.clear()
         m.det()
-        assert passes == [_modulus(_bound_squared(m))]
+        assert passes == [modulus(_bound_squared(m))]
 
 
 def _det_mod(rows: list[list[int]], p: int) -> int:

@@ -73,6 +73,7 @@ GUARD_CASES = [
     (["gen", "path", "3"], NOT_FOR_GRAPHS | {SURGERY, POLYMATRIX}, {"loosezeta.cli", FAMILIES}),
     (["class", "K4"], NOT_FOR_GRAPHS | COLD, {"loosezeta.grothendieck"}),
     (["trace", "--json", "K4"], NOT_FOR_GRAPHS | {POLYMATRIX}, {"loosezeta.grothendieck", SURGERY, FAMILIES}),
+    (["trace", "K4"], NOT_FOR_GRAPHS | {POLYMATRIX, FAMILIES}, {"loosezeta.grothendieck", SURGERY}),
     (["ihara", "K4"], {"dataclasses", "loosezeta.pointcount", "loosezeta.zeta", SURGERY}, {"loosezeta.ihara"}),
     (
         ["count", "--q", "3", "K4"],
@@ -111,10 +112,10 @@ COMPILE_BOUNDS = [
     (["gen", "path", "1"], 1065),
     (["class", "K4"], 952),
     (["count", "--q", "2", "K4"], 1187),
-    (["ihara", "K4"], 1222),
+    (["ihara", "K4"], 1211),
     (["zeta", "K4"], 1039),
-    (["compare", "K4"], 1309),
-    (["trace", "K4"], 1429),
+    (["compare", "K4"], 1298),
+    (["trace", "K4"], 1318),
 ]
 
 
