@@ -41,73 +41,63 @@ def _labels(n: int) -> list[str]:
     return [f"v{i}" for i in range(1, n + 1)]
 
 
+def _complete(n: int) -> tuple:
+    vs = _labels(n)
+    return vs, list(combinations(vs, 2))
+
+
+def _path(n: int) -> tuple:
+    vs = _labels(n)
+    return vs, list(zip(vs, vs[1:]))
+
+
+def _cycle(n: int) -> tuple:
+    vs, edges = _path(n)
+    return vs, edges + [(vs[-1], vs[0])]
+
+
+def _star(n: int, k: int) -> tuple:
+    ends = _labels(k)
+    return ["v0"] + ends, [("v0", e) for e in ends], {"v0": n - k}
+
+
+def _johnson(n: int, k: int) -> tuple:
+    width = len(str(n))  # zero-padded elements keep the labels distinct
+    subsets = list(combinations(range(1, n + 1), k))
+    label = {s: "s" + "".join(f"{i:0{width}}" for i in s) for s in subsets}
+    swaps = ((s, i, j) for s in subsets for i in s for j in range(i + 1, n + 1) if j not in s)
+    return [label[s] for s in subsets], [(label[s], label[tuple(sorted({*s, j} - {i}))]) for s, i, j in swaps]
+
+
+def _hexahedron() -> tuple:
+    vs = [format(i, "03b") for i in range(8)]
+    return vs, [(a, b) for a, b in combinations(vs, 2) if sum(x != y for x, y in zip(a, b)) == 1]
+
+
+# family -> builder of LooseGraph.build()'s arguments, then the domain's
+# (text, test) conditions in the order they are checked
+_FAMILIES = {
+    "complete": (_complete, ("n >= 1", lambda n: n >= 1)),
+    "star": (_star, ("n >= 1", lambda n, k: n >= 1), ("0 <= k <= n", lambda n, k: 0 <= k <= n)),
+    "path": (_path, ("n >= 1", lambda n: n >= 1)),
+    "cycle": (_cycle, ("n >= 3", lambda n: n >= 3)),
+    "affine": (lambda n: (["o"], (), {"o": n}), ("n >= 0", lambda n: n >= 0)),
+    "projective": (lambda n: _complete(n + 1), ("n >= 0", lambda n: n >= 0)),
+    "johnson": (_johnson, ("1 <= k <= n", lambda n, k: 1 <= k <= n)),
+    "hexahedron": (_hexahedron,),
+}
+
+
 def generate(family: str, *params: int) -> LooseGraph:
     """Built-in families: complete n, star n k, path n, cycle n, affine n,
     projective n, johnson n k, hexahedron."""
-
-    def need(k: int) -> None:
-        if len(params) != k:
-            raise GenerateError(f"{family} takes {k} parameter(s), got {len(params)}")
-
-    if family == "complete":
-        need(1)
-        (n,) = params
-        if n < 1:
-            raise GenerateError("complete needs n >= 1")
-        vs = _labels(n)
-        return LooseGraph.build(vs, list(combinations(vs, 2)))
-    if family == "projective":
-        need(1)
-        (n,) = params
-        if n < 0:
-            raise GenerateError("projective needs n >= 0")
-        return generate("complete", n + 1)
-    if family == "star":
-        need(2)
-        n, k = params
-        if n < 1:
-            raise GenerateError("star needs n >= 1")
-        if not 0 <= k <= n:
-            raise GenerateError("star needs 0 <= k <= n")
-        center = "v0"
-        ends = _labels(k)
-        return LooseGraph.build([center] + ends, [(center, e) for e in ends], {center: n - k})
-    if family == "affine":
-        need(1)
-        (n,) = params
-        if n < 0:
-            raise GenerateError("affine needs n >= 0")
-        return LooseGraph.build(["o"], (), {"o": n})
-    if family == "path":
-        need(1)
-        (n,) = params
-        if n < 1:
-            raise GenerateError("path needs n >= 1")
-        vs = _labels(n)
-        return LooseGraph.build(vs, list(zip(vs, vs[1:])))
-    if family == "cycle":
-        need(1)
-        (n,) = params
-        if n < 3:
-            raise GenerateError("cycle needs n >= 3")
-        vs = _labels(n)
-        return LooseGraph.build(vs, list(zip(vs, vs[1:])) + [(vs[-1], vs[0])])
-    if family == "johnson":
-        need(2)
-        n, k = params
-        if not 1 <= k <= n:
-            raise GenerateError("johnson needs 1 <= k <= n")
-        width = len(str(n))  # zero-padded elements keep the labels distinct
-        subsets = list(combinations(range(1, n + 1), k))
-        label = {s: "s" + "".join(f"{i:0{width}}" for i in s) for s in subsets}
-        swaps = ((s, i, j) for s in subsets for i in s for j in range(i + 1, n + 1) if j not in s)
-        edges = [(label[s], label[tuple(sorted({*s, j} - {i}))]) for s, i, j in swaps]
-        return LooseGraph.build([label[s] for s in subsets], edges)
-    if family == "hexahedron":
-        need(0)
-        vs = [format(i, "03b") for i in range(8)]
-        edges = [(a, b) for a, b in combinations(vs, 2) if sum(x != y for x, y in zip(a, b)) == 1]
-        return LooseGraph.build(vs, edges)
-    raise GenerateError(f"unknown family {family!r}")
-
-
+    if not isinstance(family, str) or family not in _FAMILIES:
+        raise GenerateError(f"unknown family {family!r}")
+    make, *conditions = _FAMILIES[family]
+    arity = make.__code__.co_argcount
+    if len(params) != arity:
+        raise GenerateError(f"{family} takes {arity} parameter(s), got {len(params)}")
+    for text, test in conditions:
+        if not test(*params):
+            raise GenerateError(f"{family} needs {text}")
+    return LooseGraph.build(*make(*params))

@@ -190,10 +190,12 @@ class _Reader:
         return LooseGraphError(message) if self.lineno is None else ParseError(self.lineno, message)
 
     def vertex(self, name: str, implicit: bool = False) -> None:
-        if name in self.names:
-            raise self.error(f"vertex {name!r} declared {'after its first use' if self.names[name] else 'twice'}")
+        # the name is tested before the lookup, which an unhashable name fails;
+        # self.names holds only valid names, so the order changes no message
         if not isinstance(name, str) or not _NAME_RE.match(name):
             raise self.error(f"invalid name {name!r}")
+        if name in self.names:
+            raise self.error(f"vertex {name!r} declared {'after its first use' if self.names[name] else 'twice'}")
         if implicit and self.strict:
             raise self.error(f"undeclared vertex {name!r} (strict mode)")
         self.names[name] = implicit
@@ -201,9 +203,9 @@ class _Reader:
     def edge(self, a: str, b: str) -> None:
         if a == b:
             raise self.error(f"loop at vertex {a!r}")
-        if a not in self.names:
+        if not isinstance(a, str) or a not in self.names:  # as in vertex(): the type first
             self.vertex(a, True)
-        if b not in self.names:
+        if not isinstance(b, str) or b not in self.names:
             self.vertex(b, True)
         e = _norm_edge(a, b)
         if e in self.edges:
@@ -211,7 +213,7 @@ class _Reader:
         self.edges[e] = None
 
     def add_loose(self, name: str, k: int) -> None:
-        if name not in self.names:
+        if not isinstance(name, str) or name not in self.names:
             self.vertex(name, True)
         if k:
             self.loose[name] = self.loose.get(name, 0) + k

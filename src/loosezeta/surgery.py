@@ -1,7 +1,7 @@
 """The paper's surgery, the independent route to class_polynomial(), and
-the structural operations only it and the tests use: induced subgraphs,
-vertex deletion, reduction, edge resolution, components as graphs,
-spanning trees and edge neighborhoods.
+the structural operations that only the tests and the benchmark's tracer
+reach: induced subgraphs, vertex deletion, reduction, edge resolution,
+components as graphs, spanning trees and edge neighborhoods.
 
 surgery_trace() resolves the fundamental edges of a spanning tree down
 to a loose tree of known class (tree_class()), subtracting each edge's

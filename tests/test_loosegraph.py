@@ -25,6 +25,7 @@ from loosezeta import (
     serialize,
     tree_profile,
 )
+from loosezeta import families
 from loosezeta.cli import main
 from loosezeta.polyring import L, Poly, format_poly
 from loosezeta.surgery import connected_components, delete_vertex, induced, neighborhood, reduce, resolve, spanning_tree
@@ -157,9 +158,14 @@ def test_generate_errors():
         (("star", 2, 5), "star needs 0 <= k <= n"),
         (("cycle", 2), "cycle needs n >= 3"),
         (("complete",), "complete takes 1 parameter(s), got 0"),
+        (("star", 3), "star takes 2 parameter(s), got 1"),
+        (("hexahedron", 1), "hexahedron takes 0 parameter(s), got 1"),
+        (("johnson", 4, 2, 1), "johnson takes 2 parameter(s), got 3"),
+        (("affine",), "affine takes 1 parameter(s), got 0"),
         (("complete", 0), "complete needs n >= 1"),
         (("projective", -1), "projective needs n >= 0"),
         (("star", 0, 0), "star needs n >= 1"),
+        (("star", 0, 1), "star needs n >= 1"),  # fails both conditions: the first is named
         (("affine", -1), "affine needs n >= 0"),
         (("path", 0), "path needs n >= 1"),
         (("johnson", 3, 0), "johnson needs 1 <= k <= n"),
@@ -169,6 +175,35 @@ def test_generate_errors():
         with pytest.raises(GenerateError) as info:
             generate(*args)
         assert str(info.value) == message, args
+
+
+def test_generate_smallest_parameters():
+    # the least parameters of each domain build, with these vertex and edge counts
+    cases = [
+        (("complete", 1), 1, 0),
+        (("projective", 0), 1, 0),
+        (("star", 1, 0), 1, 0),
+        (("star", 1, 1), 2, 1),
+        (("affine", 0), 1, 0),
+        (("path", 1), 1, 0),
+        (("cycle", 3), 3, 3),
+        (("johnson", 1, 1), 1, 0),
+        (("johnson", 3, 3), 1, 0),
+    ]
+    for args, n_vertices, n_edges in cases:
+        g = generate(*args)
+        assert (g.n_vertices, g.n_edges) == (n_vertices, n_edges), args
+
+
+def test_readme_states_each_family_with_its_domain():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    line = " ".join(re.search(r"Built-in families, each with its domain:(.*?)\.\s", readme, re.S)[1].split())
+    stated = re.findall(r"`([^`]+)`(?: \(([^)]*)\))?", line)
+    expected = []
+    for family, (make, *conditions) in families._FAMILIES.items():
+        params = make.__code__.co_varnames[: make.__code__.co_argcount]
+        expected.append((" ".join([family, *params]), ", ".join(text for text, _ in conditions)))
+    assert stated == expected
 
 
 def test_build_validation():
@@ -183,6 +218,9 @@ def test_build_validation():
         ((["a"], [("a", 1)]), "invalid name 1"),
         ((["a"], (), {1: 1}), "invalid name 1"),
         (([b"a"],), "invalid name b'a'"),
+        (([["a"]],), "invalid name ['a']"),
+        ((["a"], [("a", ["b"])]), "invalid name ['b']"),
+        ((["a"], (), [(["a"], 1)]), "invalid name ['a']"),
         ((["a"], (), {"b": 1}), "undeclared vertex 'b' (strict mode)"),
         ((["a"], (), {"a": -1}), "negative loose-edge count"),
         ((["a"], (), (), -1), "negative free-edge count"),

@@ -109,7 +109,7 @@ def test_subcommand_imports_only_its_modules(tmp_path, args, absent, present):
 # (argv, lines of src/ it may compile); K4 stands for a graph file.  gen is
 # the setup_s probe of every benchmark workload
 COMPILE_BOUNDS = [
-    (["gen", "path", "1"], 1065),
+    (["gen", "path", "1"], 1059),
     (["class", "K4"], 952),
     (["count", "--q", "2", "K4"], 1187),
     (["ihara", "K4"], 1211),
